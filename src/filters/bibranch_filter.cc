@@ -1,6 +1,5 @@
 #include "filters/bibranch_filter.h"
 
-#include <cmath>
 #include <utility>
 
 #include "filters/filter_index.h"
@@ -68,7 +67,7 @@ std::optional<std::vector<int>> TREESIM_HOT BiBranchFilter::TryRangeCandidates(
     const FilterQueryContext& ctx, double tau) const {
   if (vptree_ == nullptr) return std::nullopt;
   const auto& q = static_cast<const BiBranchQueryContext&>(ctx);
-  const int itau = static_cast<int>(std::floor(tau));
+  const int itau = SaturatingFloor<int>(tau, /*if_nan=*/-1);
   if (itau < 0) return std::vector<int>{};
   // Anything a BDist-based filter keeps satisfies
   // BDist <= factor * tau (Theorem 3.2/3.3), so the metric ball around the
@@ -102,8 +101,9 @@ bool TREESIM_HOT BiBranchFilter::MayQualify(const FilterQueryContext& ctx,
                                             int tree_id, double tau) const {
   const auto& q = static_cast<const BiBranchQueryContext&>(ctx);
   const BranchProfile& data = profiles_[static_cast<size_t>(tree_id)];
-  // Unit-cost distances are integral, so testing at floor(tau) is exact.
-  const int itau = static_cast<int>(std::floor(tau));
+  // Unit-cost distances are integral, so testing at floor(tau) is exact. A
+  // +inf or huge tau saturates to INT_MAX; NaN admits no tree.
+  const int itau = SaturatingFloor<int>(tau, /*if_nan=*/-1);
   TREESIM_COUNTER_INC("filter.bibranch.checked");
   bool pass;
   if (options_.positional) {

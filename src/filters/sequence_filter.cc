@@ -1,7 +1,6 @@
 #include "filters/sequence_filter.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "filters/filter_index.h"
@@ -10,6 +9,7 @@
 #include "util/hot.h"
 #include "util/logging.h"
 #include "util/metrics.h"
+#include "util/safe_math.h"
 
 namespace treesim {
 namespace {
@@ -79,7 +79,8 @@ double TREESIM_HOT SequenceFilter::LowerBound(const FilterQueryContext& ctx,
 
 bool TREESIM_HOT SequenceFilter::MayQualify(const FilterQueryContext& ctx,
                                             int tree_id, double tau) const {
-  const int itau = static_cast<int>(std::floor(tau));
+  // Saturating floor: +inf or a huge tau tests at INT_MAX, NaN admits none.
+  const int itau = SaturatingFloor<int>(tau, /*if_nan=*/-1);
   if (itau < 0) return false;
   TREESIM_COUNTER_INC("filter.sequence.checked");
   bool pass;

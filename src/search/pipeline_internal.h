@@ -1,0 +1,253 @@
+#ifndef TREESIM_SEARCH_PIPELINE_INTERNAL_H_
+#define TREESIM_SEARCH_PIPELINE_INTERNAL_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "filters/filter_index.h"
+#include "search/query_stats.h"
+#include "search/tree_database.h"
+#include "ted/bounded_ted.h"
+#include "ted/cost_model.h"
+#include "util/flight_recorder.h"
+#include "util/logging.h"
+#include "util/metrics.h"
+#include "util/query_context.h"
+#include "util/safe_math.h"
+#include "util/structured_log.h"
+#include "util/thread_pool.h"
+#include "util/trace.h"
+
+/// The one filter-and-refine pipeline (Section 4: Algorithm 2 and its range
+/// variant) under all six SimilaritySearch / SimilarityJoin entry points:
+/// Engine::Candidates filters, Engine::Refine verifies into slots, RunKnn
+/// (similarity_search.cc) is the Algorithm-2 sweep, and QueryScope::Finish
+/// feeds every sink from one FlightRecord. The distance-typed pieces are
+/// templated on a cost policy, so unit and weighted queries cannot drift.
+namespace treesim::pipeline {
+
+/// Unit costs: integer distances, verified by BoundedTreeEditDistance, with
+/// INT_MAX as "unbounded" (the verifier then runs the plain kernel). Filter
+/// bounds count unit operations, so they need no scaling.
+struct UnitCosts {
+  using Distance = int;
+  static constexpr Distance kUnbounded = std::numeric_limits<int>::max();
+  double scale = 1.0;
+
+  Distance Verify(const TedTree& a, const TedTree& b, Distance tau) const {
+    return BoundedTreeEditDistance(a, b, tau);
+  }
+};
+
+/// A general cost model (Section 2.1): real distances with +inf as
+/// "unbounded". A weighted-optimal script has at least as many operations
+/// as any unit-cost bound counts, each costing >= MinOperationCost(), so
+/// bounds scale by that constant and stay sound.
+struct WeightedCosts {
+  using Distance = double;
+  static constexpr Distance kUnbounded =
+      std::numeric_limits<double>::infinity();
+
+  explicit WeightedCosts(const CostModel& costs)
+      : model(costs), scale(costs.MinOperationCost()) {
+    TREESIM_CHECK_GT(scale, 0.0) << "MinOperationCost must be positive";
+  }
+
+  Distance Verify(const TedTree& a, const TedTree& b, Distance tau) const {
+    return BoundedTreeEditDistanceWeighted(a, b, tau, model);
+  }
+
+  const CostModel& model;
+  double scale;
+};
+
+/// The funnel an entry point reports, which selects its metric set.
+enum class OpKind { kRange, kKnn, kBatch, kJoin };
+
+/// One entry point's names (literals: spans and query contexts keep the
+/// pointer) and metric handles, resolved once by the entry's function-local
+/// static Op (the TREESIM_COUNTER_* macros cache per call site, so shared
+/// code cannot use them). Null: no such metric, or TREESIM_METRICS=OFF.
+struct Op {
+  Op(OpKind kind, const char* tag, const char* span, const char* filter_span,
+     const char* refine_span, const char* event = nullptr);
+
+  OpKind kind;
+  const char* tag;      ///< query-context tag and flight-record op
+  const char* span;     ///< top-level span and metric-name prefix
+  const char* filter_span;
+  const char* refine_span;
+  const char* event;    ///< query-log event; the tag unless given
+  Counter* queries = nullptr;  ///< ".queries" (".joins" for a join)
+  Counter* candidates = nullptr;
+  Counter* refined = nullptr;
+  Counter* results = nullptr;
+  Counter* bounds_computed = nullptr;   ///< k-NN: one bound per tree
+  Counter* pairs_considered = nullptr;  ///< join: its database_size
+  Histogram* filter_micros = nullptr;
+  Histogram* refine_micros = nullptr;
+  Histogram* per_query = nullptr;  ///< candidates (range), refined (k-NN)
+  Histogram* bound_gap = nullptr;  ///< k-NN: exact distance minus bound
+  LatencyWindow* window = nullptr;
+  Counter* bounded_cells = nullptr;  ///< ted.bounded_cells_computed
+};
+
+/// Appends a distance-typed value; Double() renders a non-finite one null.
+template <typename T>
+void AppendValue(LogRecord& line, const char* key, T value) {
+  if constexpr (std::is_integral_v<T>) {
+    line.Int(key, value);
+  } else {
+    line.Double(key, value);
+  }
+}
+
+/// One query from entry to Finish(). Opens the query context, then the
+/// top-level span, in that order so the span carries the query id.
+class QueryScope {
+ public:
+  /// `queries` is what the op's query counter counts (a batch's size).
+  explicit QueryScope(const Op& op, int64_t queries = 1)
+      : op_(op),
+        context_(op.tag),
+        span_(op.span),
+        cells_before_(op.bounded_cells == nullptr ? 0
+                                                  : op.bounded_cells->value()) {
+    if (op.queries != nullptr) op.queries->Increment(queries);
+  }
+
+  /// The one finish point: the FlightRecord built from `stats` feeds the
+  /// funnel counters, stage histograms, latency window, query log (when
+  /// ShouldLog, plus the op's keys from `extra`) and flight recorder.
+  template <typename Param, typename Extra>
+  void Finish(Param param, const QueryStats& stats, const FilterIndex* filter,
+              Extra&& extra) const {
+    if constexpr (kMetricsEnabled) {
+      FlightRecord rec;
+      rec.query_id = context_.query_id();
+      rec.ts_micros = UnixMicros();
+      rec.op = op_.tag;
+      rec.param = SaturatingFloor<int64_t>(static_cast<double>(param), 0);
+      rec.database_size = stats.database_size;
+      rec.candidates = stats.candidates;
+      rec.refined = stats.edit_distance_calls;
+      rec.results = stats.results;
+      rec.filter_micros = static_cast<int64_t>(stats.filter_seconds * 1e6);
+      rec.refine_micros = static_cast<int64_t>(stats.refine_seconds * 1e6);
+      rec.total_micros = static_cast<int64_t>(stats.TotalSeconds() * 1e6);
+      // A diff of a process-wide counter: approximate when queries overlap.
+      rec.bounded_cells_delta = op_.bounded_cells->value() - cells_before_;
+      rec.slow = StructuredLog::Global().IsSlow(rec.total_micros);
+
+      const auto add = [](Counter* counter, int64_t value) {
+        if (counter != nullptr) counter->Increment(value);
+      };
+      const auto record = [](Histogram* histogram, int64_t value) {
+        if (histogram != nullptr) histogram->Record(value);
+      };
+      add(op_.candidates, rec.candidates);
+      add(op_.refined, rec.refined);
+      add(op_.results, rec.results);
+      add(op_.pairs_considered, rec.database_size);
+      add(op_.bounds_computed, filter == nullptr ? 0 : rec.database_size);
+      record(op_.per_query, rec.candidates);  // k-NN refines every candidate
+      record(op_.filter_micros, rec.filter_micros);
+      record(op_.refine_micros, rec.refine_micros);
+      op_.window->Record(rec.total_micros);
+
+      StructuredLog& qlog = StructuredLog::Global();
+      if (qlog.ShouldLog(rec.total_micros)) {
+        LogRecord line;
+        line.Int("ts_micros", rec.ts_micros)
+            .Str("event", op_.event)
+            .Int("query_id", rec.query_id)
+            .Str("filter", filter == nullptr ? "Sequential" : filter->name());
+        const bool knn = op_.kind == OpKind::kKnn || op_.kind == OpKind::kBatch;
+        AppendValue(line, knn ? "k" : "tau", param);
+        line.Int("database_size", rec.database_size)
+            .Int("candidates", rec.candidates)
+            .Int("refined", rec.refined)
+            .Int("results", rec.results)
+            .Int("filter_micros", rec.filter_micros)
+            .Int("refine_micros", rec.refine_micros)
+            .Int("total_micros", rec.total_micros)
+            .Bool("slow", rec.slow);
+        extra(line);
+        qlog.Write(line);
+      }
+      FlightRecorder::Global().Record(rec);
+    }
+  }
+
+ private:
+  const Op& op_;
+  const ScopedQueryContext context_;
+  const TraceSpan span_;
+  const int64_t cells_before_;
+};
+
+/// The database probed and its filter (null means the sequential scan).
+struct Engine {
+  const TreeDatabase& db;
+  FilterIndex* filter;
+
+  /// The query's filter state; null without a filter.
+  std::unique_ptr<FilterQueryContext> Prepare(const Tree& query) const {
+    return filter == nullptr ? nullptr : filter->PrepareQuery(query);
+  }
+
+  /// Ascending range candidates among ids [first, db.size()) at `unit_tau`
+  /// unit operations: all ids without a filter, else its batch retrieval
+  /// or MayQualify scan. `first` lets a self join probe each pair once.
+  std::vector<int> Candidates(const FilterQueryContext* ctx, double unit_tau,
+                              int first) const;
+
+  /// Verifies each candidate at `tau` into its own slot (views are immutable
+  /// and the kernel pure, so any pool size gives the sequential answer) and
+  /// returns the (id, distance) pairs within tau, in candidate order; a
+  /// clamped d > tau fails that test just as the full distance would.
+  template <typename Costs>
+  std::vector<std::pair<int, typename Costs::Distance>> Refine(
+      const Costs& costs, [[maybe_unused]] const FilterQueryContext* ctx,
+      const TedTree& query, const std::vector<int>& candidates,
+      typename Costs::Distance tau, ThreadPool* pool) const {
+    using Distance = typename Costs::Distance;
+    std::vector<Distance> distances(candidates.size());
+    ParallelFor(pool, static_cast<int64_t>(candidates.size()),
+                [&](int64_t c) {
+      const int id = candidates[static_cast<size_t>(c)];
+      const Distance d = costs.Verify(query, db.ted_view(id), tau);
+#ifndef NDEBUG
+      // Theorem 3.2/3.3 as a machine-checked invariant, scaled into the cost
+      // model (the slack absorbs its rounding). Valid with the bounded
+      // verifier too: a candidate's bound is <= tau < a clamped d.
+      if (ctx != nullptr) {
+        TREESIM_DCHECK_LE(costs.scale * filter->LowerBound(*ctx, id),
+                          static_cast<double>(d) + 1e-9)
+            << "unsound lower bound from filter " << filter->name()
+            << " on tree " << id;
+      }
+#endif
+      distances[static_cast<size_t>(c)] = d;
+    });
+    std::vector<std::pair<int, Distance>> matches;
+    matches.reserve(static_cast<size_t>(
+        std::count_if(distances.begin(), distances.end(),
+                      [&](Distance d) { return d <= tau; })));
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      if (distances[c] <= tau) {
+        matches.emplace_back(candidates[c], distances[c]);
+      }
+    }
+    return matches;
+  }
+};
+
+}  // namespace treesim::pipeline
+
+#endif  // TREESIM_SEARCH_PIPELINE_INTERNAL_H_

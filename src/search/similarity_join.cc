@@ -1,16 +1,11 @@
 #include "search/similarity_join.h"
 
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "filters/filter_index.h"
-#include "ted/bounded_ted.h"
-#include "util/flight_recorder.h"
-#include "util/hot.h"
+#include "search/pipeline_internal.h"
 #include "util/logging.h"
-#include "util/metrics.h"
-#include "util/query_context.h"
 #include "util/safe_math.h"
 #include "util/stopwatch.h"
 #include "util/structured_log.h"
@@ -18,69 +13,6 @@
 #include "util/trace.h"
 
 namespace treesim {
-namespace {
-
-/// Monotonic value of the bounded-TED cell counter, used to attribute the
-/// cells a single join computed to its flight record.
-int64_t BoundedCellsCounterValue() {
-  static Counter& counter =
-      MetricsRegistry::Global().GetCounter("ted.bounded_cells_computed");
-  return counter.value();
-}
-
-/// Publishes one completed-join record into the always-on flight recorder.
-void RecordFlight(int64_t query_id, int64_t tau, const QueryStats& stats,
-                  int64_t total_micros, int64_t bounded_cells_delta) {
-  if constexpr (kMetricsEnabled) {
-    FlightRecord rec;
-    rec.query_id = query_id;
-    rec.ts_micros = UnixMicros();
-    rec.op = "join";
-    rec.param = tau;
-    rec.database_size = stats.database_size;
-    rec.candidates = stats.candidates;
-    rec.refined = stats.edit_distance_calls;
-    rec.results = stats.results;
-    rec.filter_micros = static_cast<int64_t>(stats.filter_seconds * 1e6);
-    rec.refine_micros = static_cast<int64_t>(stats.refine_seconds * 1e6);
-    rec.total_micros = total_micros;
-    rec.bounded_cells_delta = bounded_cells_delta;
-    rec.slow = StructuredLog::Global().IsSlow(total_micros);
-    FlightRecorder::Global().Record(rec);
-  }
-}
-
-/// Query-log record for one join call (both the parallel and the
-/// sequential paths funnel through here before returning). Cold: runs
-/// once per join, after the timers stop, and only when sampled in.
-void TREESIM_COLD MaybeLogJoin(const JoinResult& result, int64_t query_id,
-                               int tau, bool self, int64_t left_size,
-                               const std::string& filter_name) {
-  StructuredLog& qlog = StructuredLog::Global();
-  const int64_t total_micros =
-      static_cast<int64_t>(result.stats.TotalSeconds() * 1e6);
-  if (!qlog.ShouldLog(total_micros)) return;
-  LogRecord rec;
-  rec.Int("ts_micros", UnixMicros())
-      .Str("event", self ? "self_join" : "join")
-      .Int("query_id", query_id)
-      .Str("filter", filter_name)
-      .Int("tau", tau)
-      .Int("left_size", left_size)
-      .Int("database_size", result.stats.database_size)
-      .Int("candidates", result.stats.candidates)
-      .Int("refined", result.stats.edit_distance_calls)
-      .Int("results", result.stats.results)
-      .Int("filter_micros",
-           static_cast<int64_t>(result.stats.filter_seconds * 1e6))
-      .Int("refine_micros",
-           static_cast<int64_t>(result.stats.refine_seconds * 1e6))
-      .Int("total_micros", total_micros)
-      .Bool("slow", qlog.IsSlow(total_micros));
-  qlog.Write(rec);
-}
-
-}  // namespace
 
 SimilarityJoin::SimilarityJoin(const TreeDatabase* right,
                                std::unique_ptr<FilterIndex> filter)
@@ -102,151 +34,76 @@ JoinResult SimilarityJoin::JoinImpl(const TreeDatabase& left, int tau,
                                     bool self, ThreadPool* pool) {
   TREESIM_CHECK(left.label_dict() == right_->label_dict())
       << "join sides must share one label dictionary";
-  const ScopedQueryContext qctx("join");
-  const int64_t bounded_cells_before = BoundedCellsCounterValue();
-  TREESIM_TRACE_SPAN("search.join");
-  TREESIM_COUNTER_INC("search.join.joins");
+  static const pipeline::Op join_op(pipeline::OpKind::kJoin, "join",
+                                    "search.join", "search.join.filter",
+                                    "search.join.refine");
+  static const pipeline::Op self_join_op(
+      pipeline::OpKind::kJoin, "join", "search.join", "search.join.filter",
+      "search.join.refine", /*event=*/"self_join");
+  const pipeline::Op& op = self ? self_join_op : join_op;
+  const pipeline::QueryScope scope(op);
+  const pipeline::Engine engine{*right_, filter_.get()};
   JoinResult result;
-  if (pool != nullptr && pool->size() > 1 && left.size() >= 2) {
-    // Phase 1, sequential: query preparation in left order (PrepareQuery
-    // may extend the filter's shared dictionaries, so it must not
-    // interleave; preparing in id order also keeps any interning
-    // deterministic).
-    Stopwatch filter_timer;
-    std::vector<std::unique_ptr<FilterQueryContext>> contexts;
-    if (filter_ != nullptr) {
-      contexts.resize(static_cast<size_t>(left.size()));
-      for (int l = 0; l < left.size(); ++l) {
-        contexts[static_cast<size_t>(l)] = filter_->PrepareQuery(left.tree(l));
-      }
-    }
-    result.stats.filter_seconds = filter_timer.ElapsedSeconds();
 
-    // Phase 2, parallel: each left tree probes (const MayQualify) and
-    // refines into its own slot — no shared mutable state.
-    struct PerLeft {
-      std::vector<std::tuple<int, int, int>> pairs;
-      int64_t candidates = 0;
-      int64_t calls = 0;
-    };
-    std::vector<PerLeft> slots(static_cast<size_t>(left.size()));
-    Stopwatch refine_timer;
-    pool->ParallelFor(left.size(), [&](int64_t li) {
-      const int l = static_cast<int>(li);
-      PerLeft& slot = slots[static_cast<size_t>(l)];
-      for (int r = self ? l + 1 : 0; r < right_->size(); ++r) {
-        if (filter_ != nullptr &&
-            !filter_->MayQualify(*contexts[static_cast<size_t>(l)], r, tau)) {
-          continue;
-        }
-        ++slot.candidates;
-        // Bounded verification at the join threshold: exact for every
-        // emitted pair, tau + 1 for every rejected one.
-        const int d =
-            BoundedTreeEditDistance(left.ted_view(l), right_->ted_view(r), tau);
-        ++slot.calls;
-        if (d <= tau) slot.pairs.emplace_back(l, r, d);
-      }
-    });
-    result.stats.refine_seconds = refine_timer.ElapsedSeconds();
-
-    // Phase 3, sequential: merge slots in left order — each slot is
-    // already ascending by r, so the concatenation is ascending by (l, r),
-    // exactly the sequential output.
-    size_t total_pairs = 0;
-    for (const PerLeft& slot : slots) {
-      total_pairs = CheckedAdd(total_pairs, slot.pairs.size());
-    }
-    result.pairs.reserve(total_pairs);
+  // Phase 1, sequential: every left tree's filter context, prepared in left
+  // order (PrepareQuery may extend the filter's shared dictionaries, so it
+  // must not interleave, and id order keeps any interning deterministic).
+  Stopwatch filter_timer;
+  std::vector<std::unique_ptr<FilterQueryContext>> contexts(
+      static_cast<size_t>(left.size()));
+  {
+    const TraceSpan span(op.filter_span);
     for (int l = 0; l < left.size(); ++l) {
-      PerLeft& slot = slots[static_cast<size_t>(l)];
-      result.stats.database_size = CheckedAdd<int64_t>(
-          result.stats.database_size, right_->size() - (self ? l + 1 : 0));
-      result.stats.candidates =
-          CheckedAdd(result.stats.candidates, slot.candidates);
-      result.stats.edit_distance_calls =
-          CheckedAdd(result.stats.edit_distance_calls, slot.calls);
-      result.pairs.insert(result.pairs.end(), slot.pairs.begin(),
-                          slot.pairs.end());
+      contexts[static_cast<size_t>(l)] = engine.Prepare(left.tree(l));
     }
-    result.stats.results = static_cast<int64_t>(result.pairs.size());
-    TREESIM_COUNTER_ADD("search.join.pairs_considered",
-                        result.stats.database_size);
-    TREESIM_COUNTER_ADD("search.join.candidates", result.stats.candidates);
-    TREESIM_COUNTER_ADD("search.join.refined",
-                        result.stats.edit_distance_calls);
-    TREESIM_COUNTER_ADD("search.join.results", result.stats.results);
-    TREESIM_HISTOGRAM_RECORD(
-        "search.join.filter_micros", LatencyBucketsMicros(),
-        static_cast<int64_t>(result.stats.filter_seconds * 1e6));
-    TREESIM_HISTOGRAM_RECORD(
-        "search.join.refine_micros", LatencyBucketsMicros(),
-        static_cast<int64_t>(result.stats.refine_seconds * 1e6));
-    const int64_t total_micros =
-        static_cast<int64_t>(result.stats.TotalSeconds() * 1e6);
-    TREESIM_WINDOW_RECORD("search.join.latency_window", total_micros);
-    RecordFlight(qctx.query_id(), tau, result.stats, total_micros,
-                 BoundedCellsCounterValue() - bounded_cells_before);
-    MaybeLogJoin(result, qctx.query_id(), tau, self, left.size(),
-                 filter_ == nullptr ? "Sequential" : filter_->name());
-    return result;
   }
-  std::vector<int> candidates;  // hoisted: reused across left trees
-  for (int l = 0; l < left.size(); ++l) {
-    // In a self join every unordered pair is probed from its smaller id;
-    // the filter still scans all of `right_`, so prune r <= l afterwards
-    // (cheap: MayQualify already ran, but the exact distance is skipped).
-    Stopwatch filter_timer;
-    candidates.clear();
-    candidates.reserve(static_cast<size_t>(right_->size()));
-    if (filter_ == nullptr) {
-      for (int r = self ? l + 1 : 0; r < right_->size(); ++r) {
-        candidates.push_back(r);
-      }
-      result.stats.database_size = CheckedAdd<int64_t>(
-          result.stats.database_size, right_->size() - (self ? l + 1 : 0));
-    } else {
-      const std::unique_ptr<FilterQueryContext> ctx =
-          filter_->PrepareQuery(left.tree(l));
-      for (int r = self ? l + 1 : 0; r < right_->size(); ++r) {
-        if (filter_->MayQualify(*ctx, r, tau)) candidates.push_back(r);
-      }
-      result.stats.database_size = CheckedAdd<int64_t>(
-          result.stats.database_size, right_->size() - (self ? l + 1 : 0));
-    }
-    result.stats.filter_seconds += filter_timer.ElapsedSeconds();
-    result.stats.candidates = CheckedAdd<int64_t>(
-        result.stats.candidates, static_cast<int64_t>(candidates.size()));
+  result.stats.filter_seconds = filter_timer.ElapsedSeconds();
 
-    Stopwatch refine_timer;
-    for (const int r : candidates) {
-      const int d =
-          BoundedTreeEditDistance(left.ted_view(l), right_->ted_view(r), tau);
-      ++result.stats.edit_distance_calls;
-      if (d <= tau) result.pairs.emplace_back(l, r, d);
-    }
-    result.stats.refine_seconds += refine_timer.ElapsedSeconds();
+  // Phase 2, parallel (inline without a pool): each left tree probes and
+  // refines into its own slot, a self join each unordered pair once from its
+  // smaller id. The probe is timed as refinement at every thread count.
+  struct Slot {
+    std::vector<std::pair<int, int>> matches;  // (right id, distance)
+    int64_t candidates = 0;
+  };
+  std::vector<Slot> slots(static_cast<size_t>(left.size()));
+  Stopwatch refine_timer;
+  {
+    const TraceSpan span(op.refine_span);
+    ParallelFor(pool, left.size(), [&](int64_t li) {
+      const int l = static_cast<int>(li);
+      const FilterQueryContext* ctx = contexts[static_cast<size_t>(l)].get();
+      const std::vector<int> candidates =
+          engine.Candidates(ctx, tau, self ? l + 1 : 0);
+      Slot& slot = slots[static_cast<size_t>(l)];
+      slot.candidates = static_cast<int64_t>(candidates.size());
+      slot.matches = engine.Refine(pipeline::UnitCosts{}, ctx,
+                                   left.ted_view(l), candidates, tau,
+                                   /*pool=*/nullptr);
+    });
   }
+  result.stats.refine_seconds = refine_timer.ElapsedSeconds();
+
+  // Phase 3, sequential: merge in left order. Each slot ascends by right id,
+  // so the concatenation ascends by (l, r) for any pool size.
+  size_t total_pairs = 0;
+  for (const Slot& slot : slots) {
+    total_pairs = CheckedAdd(total_pairs, slot.matches.size());
+  }
+  result.pairs.reserve(total_pairs);
+  for (int l = 0; l < left.size(); ++l) {
+    const Slot& slot = slots[static_cast<size_t>(l)];
+    result.stats.database_size = CheckedAdd<int64_t>(
+        result.stats.database_size, right_->size() - (self ? l + 1 : 0));
+    result.stats.candidates =
+        CheckedAdd(result.stats.candidates, slot.candidates);
+    for (const auto& [r, d] : slot.matches) result.pairs.emplace_back(l, r, d);
+  }
+  result.stats.edit_distance_calls = result.stats.candidates;
   result.stats.results = static_cast<int64_t>(result.pairs.size());
-  TREESIM_COUNTER_ADD("search.join.pairs_considered",
-                      result.stats.database_size);
-  TREESIM_COUNTER_ADD("search.join.candidates", result.stats.candidates);
-  TREESIM_COUNTER_ADD("search.join.refined",
-                      result.stats.edit_distance_calls);
-  TREESIM_COUNTER_ADD("search.join.results", result.stats.results);
-  TREESIM_HISTOGRAM_RECORD(
-      "search.join.filter_micros", LatencyBucketsMicros(),
-      static_cast<int64_t>(result.stats.filter_seconds * 1e6));
-  TREESIM_HISTOGRAM_RECORD(
-      "search.join.refine_micros", LatencyBucketsMicros(),
-      static_cast<int64_t>(result.stats.refine_seconds * 1e6));
-  const int64_t total_micros =
-      static_cast<int64_t>(result.stats.TotalSeconds() * 1e6);
-  TREESIM_WINDOW_RECORD("search.join.latency_window", total_micros);
-  RecordFlight(qctx.query_id(), tau, result.stats, total_micros,
-               BoundedCellsCounterValue() - bounded_cells_before);
-  MaybeLogJoin(result, qctx.query_id(), tau, self, left.size(),
-               filter_ == nullptr ? "Sequential" : filter_->name());
+  scope.Finish(tau, result.stats, filter_.get(), [&](LogRecord& line) {
+    line.Int("left_size", left.size());
+  });
   return result;
 }
 

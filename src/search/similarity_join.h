@@ -39,13 +39,14 @@ class SimilarityJoin {
   SimilarityJoin(const SimilarityJoin&) = delete;
   SimilarityJoin& operator=(const SimilarityJoin&) = delete;
 
-  /// All (l, r) with EDist(left[l], right[r]) <= tau. With a pool, query
-  /// preparation stays sequential (filters may extend shared dictionaries),
-  /// then each left tree's probe + refinement fans out over the workers
-  /// into a per-left result slot; slots merge in left-id order, so `pairs`
-  /// and the counting stats are identical to the sequential join for any
-  /// pool size (only the seconds attribution shifts: probing is timed with
-  /// refinement rather than with preparation).
+  /// All (l, r) with EDist(left[l], right[r]) <= tau. One path at every
+  /// thread count: query preparation of every left tree runs sequentially
+  /// (filters may extend shared dictionaries), then each left tree's probe
+  /// + refinement runs into a per-left result slot, over the pool's workers
+  /// when given one and inline otherwise; slots merge in left-id order, so
+  /// `pairs` and every stat except the timings are identical for any pool
+  /// size. filter_seconds is the preparation; the probe is timed with the
+  /// refinement in refine_seconds.
   JoinResult Join(const TreeDatabase& left, int tau,
                   ThreadPool* pool = nullptr);
 

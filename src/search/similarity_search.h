@@ -81,13 +81,14 @@ class SimilaritySearch {
   /// strategy (Algorithm 2): lower bounds for every tree, ascending sweep,
   /// early break once the k-th best exact distance is below the next bound.
   ///
-  /// With a pool the sweep refines candidates in parallel, bound-ascending
-  /// blocks at a time: each worker verifies candidates thread-locally and
-  /// merges into a mutex-guarded result heap; a candidate is skipped when
-  /// its bound already exceeds the current k-th best exact distance, and
-  /// the sweep stops at the first block whose smallest bound does — the
-  /// same soundness argument as the sequential early break (every skipped
-  /// tree has exact distance >= bound > k-th best). `neighbors` is
+  /// The sweep verifies bound-ascending blocks: each tree of a block is
+  /// verified into its own slot against the k-th best exact distance at
+  /// block start, then the block merges into the result heap in order. A
+  /// tree is skipped when its bound already exceeds that k-th best, and the
+  /// sweep stops at the first block whose smallest bound does — the same
+  /// soundness argument as the sequential early break (every skipped tree
+  /// has exact distance >= bound > k-th best). Without a pool a block is
+  /// one tree, which is exactly the sequential sweep. `neighbors` is
   /// byte-identical for any pool size; `stats.edit_distance_calls` may
   /// exceed the sequential count (a block may verify a few candidates past
   /// the optimal stopping point).

@@ -37,6 +37,9 @@ int StringEditDistanceBounded(const std::vector<LabelId>& a,
   const std::vector<LabelId>& shorter = a.size() >= b.size() ? b : a;
   const int m = static_cast<int>(longer.size());
   const int n = static_cast<int>(shorter.size());
+  // The distance never exceeds m, so a wider band changes nothing; the
+  // clamp keeps `i + limit` and `limit + 1` from overflowing at INT_MAX.
+  limit = std::min(limit, m);
   if (m - n > limit) return limit + 1;
   if (n == 0) return m;  // m <= limit here; pure insertions
 

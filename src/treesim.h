@@ -26,7 +26,6 @@
 #include "search/similarity_join.h"    // IWYU pragma: export
 #include "search/similarity_search.h"  // IWYU pragma: export
 #include "search/tree_database.h"      // IWYU pragma: export
-#include "strgram/pqgram.h"                 // IWYU pragma: export
 #include "strgram/qgram.h"                  // IWYU pragma: export
 #include "strgram/string_edit_distance.h"   // IWYU pragma: export
 #include "ted/bounded_ted.h"           // IWYU pragma: export

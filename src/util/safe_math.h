@@ -2,6 +2,7 @@
 #define TREESIM_UTIL_SAFE_MATH_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
@@ -129,6 +130,25 @@ template <typename To, typename From>
     return std::numeric_limits<To>::min();
   }
   return std::numeric_limits<To>::max();
+}
+
+/// floor(v) as the integer type To, defined for every double: values past
+/// To's range, infinities included, clamp to its min or max, and NaN (which
+/// has no integer value) becomes `if_nan`. A plain static_cast is undefined
+/// behaviour in all three cases. Saturation is the intended result here,
+/// so SafeMathStats is not bumped.
+template <typename To>
+[[nodiscard]] inline To SaturatingFloor(double v, To if_nan) {
+  static_assert(std::is_integral_v<To>, "SaturatingFloor is integer-only");
+  if (std::isnan(v)) return if_nan;
+  const double f = std::floor(v);
+  if (f >= static_cast<double>(std::numeric_limits<To>::max())) {
+    return std::numeric_limits<To>::max();
+  }
+  if (f <= static_cast<double>(std::numeric_limits<To>::min())) {
+    return std::numeric_limits<To>::min();
+  }
+  return static_cast<To>(f);
 }
 
 /// CheckedAdd for templated accumulation code that is instantiated with

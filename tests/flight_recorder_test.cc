@@ -7,10 +7,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "filters/bibranch_filter.h"
 #include "gtest/gtest.h"
+#include "search/similarity_join.h"
+#include "search/similarity_search.h"
+#include "test_util.h"
+#include "ted/cost_model.h"
 #include "util/metrics.h"
 
 namespace treesim {
@@ -148,6 +157,47 @@ TEST_F(FlightRecorderTest, ResetRestoresDefaults) {
   EXPECT_EQ(recorder.capacity(), 128);
   EXPECT_EQ(recorder.total_recorded(), 0);
   EXPECT_TRUE(recorder.Snapshot().empty());
+}
+
+TEST_F(FlightRecorderTest, EverySearchEntryRecordsOneFlight) {
+  // Each of the seven search calls leaves exactly one record carrying its op
+  // tag (a BatchKnn's members add "knn" records of their own), on an empty
+  // database as much as on a populated one.
+  if (!kMetricsEnabled) GTEST_SKIP() << "TREESIM_METRICS=OFF";
+  auto labels = std::make_shared<LabelDictionary>();
+  const std::vector<LabelId> pool = testing::MakeLabelPool(labels, 3);
+  Rng rng(71);
+  const Tree query = testing::RandomTree(5, pool, labels, rng);
+  const CostModel& costs = UnitCostModel::Get();
+  for (const int size : {0, 6}) {
+    TreeDatabase db(labels);
+    for (int i = 0; i < size; ++i) {
+      db.Add(testing::RandomTree(5, pool, labels, rng));
+    }
+    SimilaritySearch search(&db, std::make_unique<BiBranchFilter>());
+    SimilarityJoin join(&db, std::make_unique<BiBranchFilter>());
+    const std::vector<std::pair<std::string, std::function<void()>>> calls = {
+        {"range", [&] { static_cast<void>(search.Range(query, 2)); }},
+        {"knn", [&] { static_cast<void>(search.Knn(query, 3)); }},
+        {"batch_knn",
+         [&] { static_cast<void>(search.BatchKnn({query, query}, 3)); }},
+        {"range_weighted",
+         [&] { static_cast<void>(search.RangeWeighted(query, 2.0, costs)); }},
+        {"knn_weighted",
+         [&] { static_cast<void>(search.KnnWeighted(query, 3, costs)); }},
+        {"join", [&] { static_cast<void>(join.Join(db, 2)); }},
+        {"join", [&] { static_cast<void>(join.SelfJoin(2)); }},
+    };
+    for (const auto& [op, call] : calls) {
+      FlightRecorder::Global().ResetForTest();
+      call();
+      int tagged = 0;
+      for (const FlightRecord& rec : FlightRecorder::Global().Snapshot()) {
+        if (op == rec.op) ++tagged;
+      }
+      EXPECT_EQ(tagged, 1) << op << " on a database of " << size << " trees";
+    }
+  }
 }
 
 }  // namespace

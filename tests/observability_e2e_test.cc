@@ -17,6 +17,7 @@
 #include "search/similarity_search.h"
 #include "search/tree_database.h"
 #include "test_util.h"
+#include "ted/cost_model.h"
 #include "ted/zhang_shasha.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -263,6 +264,79 @@ TEST_F(ObservabilityE2eTest, QueryStagesAppearInTrace) {
     } else if (name.rfind("search.range.", 0) == 0 ||
                name.rfind("search.knn.", 0) == 0) {
       EXPECT_EQ(e.depth, 1) << name;
+    }
+  }
+  Tracer::Global().Clear();
+}
+
+TEST_F(ObservabilityE2eTest, WeightedCountersAgreeWithQueryStats) {
+  const CostModel& costs = UnitCostModel::Get();
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  QueryStats range_total;
+  QueryStats knn_total;
+  for (const Tree& q : queries_) {
+    range_total += engine_->RangeWeighted(q, /*tau=*/6.0, costs).stats;
+    knn_total += engine_->KnnWeighted(q, /*k=*/3, costs).stats;
+  }
+  const MetricsSnapshot d =
+      MetricsRegistry::Global().Snapshot().DiffSince(before);
+
+  EXPECT_EQ(d.counter("search.range_weighted.queries"), kQueries);
+  EXPECT_EQ(d.counter("search.range_weighted.candidates"),
+            range_total.candidates);
+  EXPECT_EQ(d.counter("search.range_weighted.refined"),
+            range_total.edit_distance_calls);
+  EXPECT_EQ(d.counter("search.range_weighted.results"), range_total.results);
+  const MetricsSnapshot::HistogramValue* per_query =
+      d.histogram("search.range_weighted.candidates_per_query");
+  ASSERT_NE(per_query, nullptr);
+  EXPECT_EQ(per_query->count, kQueries);
+  EXPECT_EQ(per_query->sum, range_total.candidates);
+
+  EXPECT_EQ(d.counter("search.knn_weighted.queries"), kQueries);
+  EXPECT_EQ(d.counter("search.knn_weighted.bounds_computed"),
+            int64_t{kDbSize} * kQueries);
+  EXPECT_EQ(d.counter("search.knn_weighted.refined"),
+            knn_total.edit_distance_calls);
+  EXPECT_EQ(d.counter("search.knn_weighted.results"), knn_total.results);
+  const MetricsSnapshot::HistogramValue* gap =
+      d.histogram("search.knn_weighted.bound_gap");
+  ASSERT_NE(gap, nullptr);
+  EXPECT_EQ(gap->count, knn_total.edit_distance_calls);
+  EXPECT_GE(gap->sum, 0);  // clamped (+inf) distances must not overflow it
+  for (const char* name :
+       {"search.range_weighted.filter_micros",
+        "search.range_weighted.refine_micros",
+        "search.knn_weighted.filter_micros",
+        "search.knn_weighted.refine_micros"}) {
+    const MetricsSnapshot::HistogramValue* h = d.histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count, kQueries) << name;
+  }
+}
+
+TEST_F(ObservabilityE2eTest, WeightedQueryStagesAppearInTrace) {
+  const CostModel& costs = UnitCostModel::Get();
+  Tracer::Global().Disable();
+  Tracer::Global().Clear();
+  Tracer::Global().Enable();
+  static_cast<void>(engine_->RangeWeighted(queries_[0], /*tau=*/4.0, costs));
+  static_cast<void>(engine_->KnnWeighted(queries_[0], /*k=*/2, costs));
+  Tracer::Global().Disable();
+  const std::vector<TraceEvent> events = Tracer::Global().Collect();
+
+  const std::vector<std::string> tops = {"search.range_weighted",
+                                         "search.knn_weighted"};
+  for (const std::string& top : tops) {
+    for (const std::string& name : {top, top + ".filter", top + ".refine"}) {
+      int n = 0;
+      for (const TraceEvent& e : events) {
+        if (name != e.name) continue;
+        ++n;
+        // Stage spans nest inside their query span: depth 1 under depth 0.
+        EXPECT_EQ(e.depth, name == top ? 0 : 1) << name;
+      }
+      EXPECT_EQ(n, 1) << name;
     }
   }
   Tracer::Global().Clear();

@@ -85,6 +85,21 @@ TEST(SafeMathOverflowTest, NarrowingCastOutOfRange) {
   EXPECT_OVERFLOW(CheckedCast<int64_t>(std::numeric_limits<uint64_t>::max()));
 }
 
+TEST(SafeMathTest, SaturatingFloorIsDefinedForEveryDouble) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(SaturatingFloor<int>(2.75, -1), 2);
+  EXPECT_EQ(SaturatingFloor<int>(-0.5, 0), -1);
+  EXPECT_EQ(SaturatingFloor<int>(inf, -1), kMax32);
+  EXPECT_EQ(SaturatingFloor<int>(3e9, -1), kMax32);
+  EXPECT_EQ(SaturatingFloor<int>(-inf, 0), kMin32);
+  EXPECT_EQ(SaturatingFloor<int>(nan, -1), -1);
+  EXPECT_EQ(SaturatingFloor<int64_t>(inf, 0), kMax64);
+  EXPECT_EQ(SaturatingFloor<int64_t>(-1e300, 0), kMin64);
+  EXPECT_EQ(SaturatingFloor<int64_t>(nan, 7), 7);
+  EXPECT_EQ(SaturatingFloor<int64_t>(24.0, 0), 24);
+}
+
 #ifdef NDEBUG
 // Release-only: the saturation path must clamp toward the overflow
 // direction and make every event observable via the counter.

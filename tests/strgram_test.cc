@@ -1,3 +1,4 @@
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -80,6 +81,16 @@ TEST(StringEditDistanceBoundedTest, EmptyAndDegenerate) {
   EXPECT_EQ(StringEditDistanceBounded({}, {}, 0), 0);
   EXPECT_GT(StringEditDistanceBounded({1, 2, 3}, {}, 2), 2);
   EXPECT_EQ(StringEditDistanceBounded({1, 2, 3}, {}, 3), 3);
+}
+
+TEST(StringEditDistanceBoundedTest, LimitAtIntMaxIsExact) {
+  // A saturated threshold (the sequence filter's +inf / huge tau) must not
+  // overflow the band arithmetic: every distance is within such a limit.
+  const int limit = std::numeric_limits<int>::max();
+  EXPECT_EQ(StringEditDistanceBounded({}, {}, limit), 0);
+  EXPECT_EQ(StringEditDistanceBounded({1, 2, 3}, {}, limit), 3);
+  EXPECT_EQ(StringEditDistanceBounded({1, 2, 3, 4}, {2, 3, 5}, limit),
+            StringEditDistance({1, 2, 3, 4}, {2, 3, 5}));
 }
 
 TEST(QGramProfileTest, CountsWindows) {

@@ -17,6 +17,7 @@
 #include "json_validator.h"
 #include "search/similarity_join.h"
 #include "search/similarity_search.h"
+#include "ted/cost_model.h"
 #include "util/metrics.h"
 
 namespace treesim {
@@ -181,6 +182,34 @@ TEST(StructuredLogTest, QueryPathsEmitValidRecords) {
   EXPECT_EQ(member0_doc.Find("query_id")->number_value, base + 3);
   EXPECT_EQ(member1_doc.Find("query_id")->number_value, base + 4);
   EXPECT_EQ(join_doc.Find("query_id")->number_value, base + 5);
+  std::remove(path.c_str());
+}
+
+TEST(StructuredLogTest, WeightedQueriesEmitValidRecords) {
+  const std::string path = TempLogPath("weighted");
+  StructuredLog& log = StructuredLog::Global();
+  ASSERT_TRUE(log.OpenFile(path).ok());
+  auto db = MakeSyntheticDatabase(/*count=*/30, /*size_mean=*/10, /*seed=*/17);
+  SimilaritySearch engine(db.get(), std::make_unique<BiBranchFilter>());
+  (void)engine.RangeWeighted(db->tree(0), 2.5, UnitCostModel::Get());
+  (void)engine.KnnWeighted(db->tree(1), 3, UnitCostModel::Get());
+  log.Close();
+
+  const std::vector<std::string> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& line : lines) ValidateQueryRecord(line);
+  JsonValue range_doc, knn_doc;
+  ASSERT_TRUE(ParseJson(lines[0], &range_doc));
+  ASSERT_TRUE(ParseJson(lines[1], &knn_doc));
+  EXPECT_EQ(range_doc.Find("event")->string_value, "range_weighted");
+  ASSERT_TRUE(range_doc.Has("tau"));
+  EXPECT_EQ(range_doc.Find("tau")->number_value, 2.5);
+  EXPECT_EQ(knn_doc.Find("event")->string_value, "knn_weighted");
+  ASSERT_TRUE(knn_doc.Has("k"));
+  EXPECT_EQ(knn_doc.Find("k")->number_value, 3);
+  EXPECT_EQ(knn_doc.Find("results")->number_value, 3);
+  EXPECT_EQ(knn_doc.Find("query_id")->number_value,
+            range_doc.Find("query_id")->number_value + 1);
   std::remove(path.c_str());
 }
 

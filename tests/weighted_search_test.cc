@@ -1,11 +1,15 @@
 // The Section 2.1 extension end-to-end: filter-and-refine search under a
 // general cost model, with filter bounds scaled by the minimum operation
 // cost. Exactness is verified against a weighted sequential scan.
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "filters/bibranch_filter.h"
 #include "filters/histogram_filter.h"
+#include "filters/sequence_filter.h"
 #include "search/similarity_search.h"
 #include "test_util.h"
 
@@ -112,6 +116,45 @@ TEST_F(WeightedSearchTest, SelfQueryAtDistanceZero) {
   const WeightedKnnResult r = bibranch.KnnWeighted(db_->tree(5), 1, costs_);
   ASSERT_EQ(r.neighbors.size(), 1u);
   EXPECT_DOUBLE_EQ(r.neighbors[0].second, 0.0);
+}
+
+TEST_F(WeightedSearchTest, NonFiniteAndHugeThresholdsAgreeAcrossFilters) {
+  // tau = +inf, or a tau whose unit-operation scaling is past INT_MAX,
+  // admits every tree; NaN admits none, which is also the verifier's answer
+  // to a NaN threshold. Every filter must give the sequential scan's answer
+  // rather than dropping trees on an out-of-range threshold conversion.
+  BiBranchFilter::Options vp_options;
+  vp_options.use_vptree = true;
+  SimilaritySearch bibranch(db_.get(), std::make_unique<BiBranchFilter>());
+  SimilaritySearch bibranch_vp(db_.get(),
+                               std::make_unique<BiBranchFilter>(vp_options));
+  SimilaritySearch histo(db_.get(), std::make_unique<HistogramFilter>());
+  SimilaritySearch sequence(db_.get(), std::make_unique<SequenceFilter>());
+  const std::vector<SimilaritySearch*> engines = {
+      sequential_.get(), &bibranch, &bibranch_vp, &histo, &sequence};
+  Rng rng(1619);
+  const Tree query = RandomTree(10, pool_, dict_, rng);
+  const CostModel* models[] = {&UnitCostModel::Get(), &costs_};
+  for (const CostModel* model : models) {
+    for (const double tau : {std::numeric_limits<double>::infinity(), 3e9}) {
+      for (SimilaritySearch* engine : engines) {
+        const WeightedRangeResult r = engine->RangeWeighted(query, tau, *model);
+        ASSERT_EQ(r.matches.size(), static_cast<size_t>(db_->size()))
+            << engine->filter_name() << " tau=" << tau;
+        for (const auto& match : r.matches) {
+          EXPECT_TRUE(std::isfinite(match.second));
+        }
+        EXPECT_EQ(r.matches,
+                  sequential_->RangeWeighted(query, tau, *model).matches)
+            << engine->filter_name() << " tau=" << tau;
+      }
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (SimilaritySearch* engine : engines) {
+      const WeightedRangeResult r = engine->RangeWeighted(query, nan, *model);
+      EXPECT_TRUE(r.matches.empty()) << engine->filter_name() << " tau=NaN";
+    }
+  }
 }
 
 }  // namespace
