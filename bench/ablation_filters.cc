@@ -32,12 +32,6 @@ const NamedFilter kFilters[] = {
        o.positional = false;
        return std::unique_ptr<FilterIndex>(new BiBranchFilter(o));
      }},
-    {"BiBranch(2) + VP-tree",
-     [] {
-       BiBranchFilter::Options o;
-       o.use_vptree = true;
-       return std::unique_ptr<FilterIndex>(new BiBranchFilter(o));
-     }},
     {"BiBranch(3) positional",
      [] {
        BiBranchFilter::Options o;

@@ -146,9 +146,9 @@ inline std::unique_ptr<TreeDatabase> MakeDatabase(
 inline HistogramFilter::Options NormalizedHistogramOptions(
     const TreeDatabase& db) {
   InvertedFileIndex index(2);
-  for (const Tree& t : db.trees()) index.Add(t);
+  index.AddAll(db.trees());
   int64_t dims = 0;
-  for (const BranchProfile& p : index.BuildProfiles()) {
+  for (const BranchProfile& p : index.profiles()) {
     dims += static_cast<int64_t>(p.entries.size());
   }
   const double avg_dims =

@@ -10,7 +10,6 @@
 #include "core/branch_profile.h"
 #include "core/inverted_file.h"
 #include "core/positional.h"
-#include "core/vptree.h"
 #include "datagen/synthetic_generator.h"
 
 namespace treesim {
@@ -56,8 +55,8 @@ void BM_InvertedFileBuild(benchmark::State& state) {
   const std::vector<Tree> trees = gen.GenerateDataset(count);
   for (auto _ : state) {
     InvertedFileIndex index(2);
-    for (const Tree& t : trees) index.Add(t);
-    benchmark::DoNotOptimize(index.BuildProfiles());
+    index.AddAll(trees);
+    benchmark::DoNotOptimize(index.profiles().data());
   }
   state.SetItemsProcessed(state.iterations() * count);
 }
@@ -122,45 +121,6 @@ BENCHMARK_REGISTER_F(ProfilePairFixture, OptimisticBound)
     ->Arg(50)
     ->Arg(125)
     ->Arg(500);
-
-void BM_VpTreeRangeVsLinear(benchmark::State& state) {
-  // Candidate retrieval for one range query: VP-tree ball search vs a
-  // linear BDist scan, on size-spread data where metric pruning applies.
-  const bool use_vptree = state.range(0) != 0;
-  auto labels = std::make_shared<LabelDictionary>();
-  std::vector<BranchProfile> profiles;
-  BranchDictionary dict(2);
-  {
-    Rng rng(21);
-    SyntheticParams params;
-    params.seed_count = 50;
-    for (int size = 10; size <= 150; size += 10) {
-      params.size_mean = size;
-      SyntheticGenerator gen(params, labels, 21 + static_cast<uint64_t>(size));
-      for (Tree& t : gen.GenerateDataset(100)) {
-        profiles.push_back(BranchProfile::FromTree(t, dict));
-      }
-    }
-  }
-  Rng tree_rng(23);
-  const VpTree index(&profiles, tree_rng);
-  const BranchProfile& query = profiles[777];
-  const int64_t radius = 10;
-  for (auto _ : state) {
-    if (use_vptree) {
-      benchmark::DoNotOptimize(index.RangeSearch(query, radius));
-    } else {
-      std::vector<int> hits;
-      for (size_t i = 0; i < profiles.size(); ++i) {
-        if (BranchDistance(query, profiles[i]) <= radius) {
-          hits.push_back(static_cast<int>(i));
-        }
-      }
-      benchmark::DoNotOptimize(hits);
-    }
-  }
-}
-BENCHMARK(BM_VpTreeRangeVsLinear)->Arg(0)->Arg(1);
 
 void BM_OptimisticBoundGreedyVsExact(benchmark::State& state) {
   auto labels = std::make_shared<LabelDictionary>();

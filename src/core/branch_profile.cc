@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "util/hot.h"
 #include "util/logging.h"
@@ -18,12 +19,17 @@ int BranchProfile::total_count() const {
 }
 
 BranchProfile BranchProfile::FromTree(const Tree& t, BranchDictionary& dict) {
+  std::vector<BranchOccurrence> occurrences = ExtractBranches(t, dict);
+  return FromOccurrences(t.size(), dict, std::move(occurrences));
+}
+
+BranchProfile BranchProfile::FromOccurrences(
+    int tree_size, const BranchDictionary& dict,
+    std::vector<BranchOccurrence> occurrences) {
   BranchProfile p;
-  p.tree_size = t.size();
+  p.tree_size = tree_size;
   p.q = dict.q();
   p.factor = dict.edit_distance_factor();
-
-  std::vector<BranchOccurrence> occurrences = ExtractBranches(t, dict);
   std::sort(occurrences.begin(), occurrences.end(),
             [](const BranchOccurrence& x, const BranchOccurrence& y) {
               if (x.branch != y.branch) return x.branch < y.branch;

@@ -43,8 +43,16 @@ struct BranchProfile {
   int total_count() const;
 
   /// Builds the profile of one tree, interning new branches into `dict`.
-  /// O(|T| * 2^q + d log d) where d is the number of distinct branches.
+  /// O(|T| * 2^q + |T| log |T|).
   static BranchProfile FromTree(const Tree& t, BranchDictionary& dict);
+
+  /// Builds the profile of a tree of `tree_size` nodes from its branch
+  /// occurrences (any order), as extracted against `dict`: sorts them by
+  /// (branch, preorder) and run-length encodes them. The one builder of
+  /// query and database profiles alike. O(|T| log |T|).
+  static BranchProfile FromOccurrences(
+      int tree_size, const BranchDictionary& dict,
+      std::vector<BranchOccurrence> occurrences);
 
   /// Verifies the sparse-vector invariants the filters rely on: q/factor
   /// agree with Theorem 3.3, entries strictly ascending by branch id with
@@ -52,7 +60,7 @@ struct BranchProfile {
   /// ascending permutation of the occurrence postorders, all positions in
   /// [1, tree_size], and total occurrences == tree_size (one branch per
   /// node, Definition 3). O(total occurrences). Debug builds run this at
-  /// the end of FromTree() and on every profile of BuildProfiles().
+  /// the end of FromOccurrences(), i.e. on every profile built.
   Status ValidateInvariants() const;
 };
 

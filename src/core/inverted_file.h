@@ -1,8 +1,6 @@
 #ifndef TREESIM_CORE_INVERTED_FILE_H_
 #define TREESIM_CORE_INVERTED_FILE_H_
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/binary_branch.h"
@@ -14,19 +12,19 @@
 namespace treesim {
 
 /// The extended inverted file IFI of Algorithm 1 (Fig. 3a): a vocabulary of
-/// binary branches plus, per branch, an inverted list of
-/// (tree id, occurrence count, positions). Vector representations of a whole
-/// dataset are built by one scan of the IFI, exactly as Algorithm 1 does.
-/// Construction is O(sum |Ti|) time and space (Section 4.4).
+/// binary branches plus, per branch, an inverted list of (tree id,
+/// occurrence count), next to the vector representation of every indexed
+/// tree. Each fact is held once: a tree's positions live in its profile,
+/// built when the tree is added by the same function that builds query
+/// profiles, and the inverted lists are those profiles transposed to counts.
+/// Construction is O(sum |Ti|) space and O(sum |Ti| log |Ti|) time
+/// (Section 4.4).
 class InvertedFileIndex {
  public:
-  /// One inverted-list element: all occurrences of the branch in one tree.
+  /// One inverted-list element: how often the branch occurs in one tree.
   struct Posting {
     int tree_id = 0;
-    /// (preorder, postorder) positions, ascending by preorder.
-    std::vector<std::pair<int, int>> positions;
-
-    int count() const { return static_cast<int>(positions.size()); }
+    int count = 0;
   };
 
   /// `q` is the branch level (2 = the binary branch of Definition 2).
@@ -42,13 +40,14 @@ class InvertedFileIndex {
 
   /// Indexes a whole forest, ids in input order. With a pool, branch-key
   /// extraction — the O(|Ti| * 2^q) part of Algorithm 1 — runs in parallel
-  /// across trees; interning and inverted-list appends stay sequential in
-  /// tree order, so BranchIds, postings and positions are byte-identical to
-  /// calling Add() per tree. nullptr builds sequentially.
+  /// across trees; interning, profile building and inverted-list appends
+  /// stay sequential in tree order, so BranchIds, postings and profiles are
+  /// byte-identical to calling Add() per tree. nullptr builds sequentially.
+  /// Debug builds validate the whole index afterwards.
   void AddAll(const std::vector<Tree>& trees, ThreadPool* pool = nullptr);
 
   /// Number of indexed trees.
-  int tree_count() const { return tree_count_; }
+  int tree_count() const { return static_cast<int>(profiles_.size()); }
 
   /// The branch vocabulary (shared with query profile extraction so ids
   /// agree between database and query vectors).
@@ -58,32 +57,29 @@ class InvertedFileIndex {
   /// Inverted list of one branch, ordered by tree id.
   const std::vector<Posting>& postings(BranchId branch) const;
 
-  /// Trees (by id) containing `branch`; convenience for examples/tools.
-  std::vector<int> TreesContaining(BranchId branch) const;
+  /// The sparse vector + positional sequences of every indexed tree
+  /// (Algorithm 1, lines 6-13), indexed by tree id.
+  const std::vector<BranchProfile>& profiles() const { return profiles_; }
 
-  /// Materializes the sparse vector + positional sequences of every indexed
-  /// tree by scanning the inverted lists (Algorithm 1, lines 6-13).
-  /// Result is indexed by tree id; entries are sorted by branch id.
-  std::vector<BranchProfile> BuildProfiles() const;
-
-  /// Verifies the IFI invariants of Fig. 3a: inverted lists strictly
-  /// ascending by tree id with positive counts, positions ascending by
-  /// preorder and inside [1, |Ti|], and per-tree occurrence totals equal to
-  /// the tree sizes (every node contributes exactly one branch). O(index
-  /// size). Debug builds run this at the start of BuildProfiles().
+  /// Verifies the IFI invariants of Fig. 3a: every profile passes its own
+  /// validator (positions inside [1, |Ti|] and ascending by preorder,
+  /// occurrence total = |Ti|), inverted lists are strictly ascending by
+  /// tree id, and the postings are exactly the profiles transposed: each
+  /// posting's count equals its tree's entry for that branch, and each
+  /// entry has its posting. O(index size). Debug builds run this at the end
+  /// of every AddAll().
   Status ValidateInvariants() const;
 
  private:
   friend struct InvariantTestPeer;  // tests corrupt lists to hit validators
 
-  /// Shared tail of Add()/AddAll(): assigns the next tree id and appends
-  /// `occurrences` (any order) to the inverted lists.
+  /// Shared tail of Add()/AddAll(): assigns the next tree id, builds its
+  /// profile from `occurrences` (any order) and appends its postings.
   int AddOccurrences(int tree_size, std::vector<BranchOccurrence> occurrences);
 
   BranchDictionary dict_;
   std::vector<std::vector<Posting>> lists_;  // indexed by BranchId
-  std::vector<int> tree_sizes_;              // indexed by tree id
-  int tree_count_ = 0;
+  std::vector<BranchProfile> profiles_;      // indexed by tree id
 };
 
 }  // namespace treesim

@@ -1,14 +1,13 @@
 #ifndef TREESIM_FILTERS_BIBRANCH_FILTER_H_
 #define TREESIM_FILTERS_BIBRANCH_FILTER_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/branch_profile.h"
 #include "core/inverted_file.h"
 #include "core/positional.h"
-#include "core/vptree.h"
 #include "filters/filter_index.h"
 #include "util/thread_pool.h"
 
@@ -30,11 +29,6 @@ class BiBranchFilter final : public FilterIndex {
     bool positional = true;
     /// How per-branch positional matchings are computed; see MatchingMode.
     MatchingMode matching = MatchingMode::kAuto;
-    /// Index the branch vectors in a VP-tree (BDist satisfies the triangle
-    /// inequality) so range queries retrieve their candidate set
-    /// sublinearly instead of scanning every vector. Identical results;
-    /// pays O(N log N) BDist evaluations at Build().
-    bool use_vptree = false;
     /// Pool Build() fans the inverted-file construction out over (borrowed;
     /// must outlive Build()). Index contents are byte-identical to a
     /// sequential build. nullptr builds sequentially.
@@ -51,31 +45,19 @@ class BiBranchFilter final : public FilterIndex {
   double LowerBound(const FilterQueryContext& ctx, int tree_id) const override;
   bool MayQualify(const FilterQueryContext& ctx, int tree_id,
                   double tau) const override;
-  std::optional<std::vector<int>> TryRangeCandidates(
-      const FilterQueryContext& ctx, double tau) const override;
 
   /// The underlying inverted file (for inspection/examples).
   const InvertedFileIndex& inverted_file() const { return index_; }
 
-  /// Database profiles, indexed by tree id (for inspection/tests).
-  const std::vector<BranchProfile>& profiles() const { return profiles_; }
-
-  /// Cumulative BDist evaluations spent inside VP-tree range searches
-  /// (for benchmarking sublinearity; 0 when use_vptree is off).
-  int64_t vptree_distance_calls() const {
-    return vptree_distance_calls_.load(std::memory_order_relaxed);
+  /// Database profiles, indexed by tree id (for inspection/tests); the
+  /// inverted file owns them.
+  const std::vector<BranchProfile>& profiles() const {
+    return index_.profiles();
   }
 
  private:
   Options options_;
   InvertedFileIndex index_;
-  std::vector<BranchProfile> profiles_;
-  std::unique_ptr<VpTree> vptree_;
-  /// Probe accounting mutated from const query paths; atomic because range
-  /// probes may run concurrently from the parallel search/join layers (the
-  /// only shared mutable state a built filter owns — everything else is
-  /// read-only after Build()).
-  mutable std::atomic<int64_t> vptree_distance_calls_{0};
 };
 
 }  // namespace treesim

@@ -2,7 +2,6 @@
 #define TREESIM_FILTERS_FILTER_INDEX_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,18 +51,6 @@ class FilterIndex {
   virtual bool MayQualify(const FilterQueryContext& ctx, int tree_id,
                           double tau) const {
     return LowerBound(ctx, tree_id) <= tau;
-  }
-
-  /// Optional sublinear candidate retrieval for range queries: when a
-  /// filter owns a metric index over its vectors it can return the entire
-  /// may-qualify id set (ascending) without being probed per tree. nullopt
-  /// (the default) makes the engine fall back to the MayQualify scan. The
-  /// returned set must equal { id : MayQualify(ctx, id, tau) } — candidates
-  /// are refined with the exact distance either way, so soundness is about
-  /// completeness of this set.
-  virtual std::optional<std::vector<int>> TryRangeCandidates(
-      const FilterQueryContext& /*ctx*/, double /*tau*/) const {
-    return std::nullopt;
   }
 };
 

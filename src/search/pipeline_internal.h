@@ -202,8 +202,8 @@ struct Engine {
   }
 
   /// Ascending range candidates among ids [first, db.size()) at `unit_tau`
-  /// unit operations: all ids without a filter, else its batch retrieval
-  /// or MayQualify scan. `first` lets a self join probe each pair once.
+  /// unit operations: all ids without a filter, else its MayQualify scan.
+  /// `first` lets a self join probe each pair once.
   std::vector<int> Candidates(const FilterQueryContext* ctx, double unit_tau,
                               int first) const;
 

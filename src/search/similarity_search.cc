@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <optional>
 #include <queue>
 #include <string>
 #include <tuple>
@@ -65,15 +64,6 @@ Op::Op(OpKind kind, const char* tag, const char* span, const char* filter_span,
 std::vector<int> Engine::Candidates(const FilterQueryContext* ctx,
                                     double unit_tau, int first) const {
   std::vector<int> ids;
-  if (filter != nullptr) {
-    std::optional<std::vector<int>> batch =
-        filter->TryRangeCandidates(*ctx, unit_tau);
-    if (batch.has_value()) {  // metric-index fast path, ascending
-      ids = std::move(*batch);
-      ids.erase(ids.begin(), std::lower_bound(ids.begin(), ids.end(), first));
-      return ids;
-    }
-  }
   ids.reserve(static_cast<size_t>(db.size() - first));
   for (int id = first; id < db.size(); ++id) {
     if (filter == nullptr || filter->MayQualify(*ctx, id, unit_tau)) {

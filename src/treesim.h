@@ -9,10 +9,8 @@
 #include "core/binary_branch.h"    // IWYU pragma: export
 #include "core/binary_tree.h"      // IWYU pragma: export
 #include "core/branch_profile.h"   // IWYU pragma: export
-#include "core/index_io.h"         // IWYU pragma: export
 #include "core/inverted_file.h"    // IWYU pragma: export
 #include "core/positional.h"       // IWYU pragma: export
-#include "core/vptree.h"           // IWYU pragma: export
 #include "datagen/dblp_generator.h"       // IWYU pragma: export
 #include "datagen/edit_noise.h"           // IWYU pragma: export
 #include "datagen/synthetic_generator.h"  // IWYU pragma: export

@@ -15,9 +15,9 @@
 /// claim is empirical (candidate counts and per-stage costs stay small,
 /// Section 5), so the engine must expose per-stage numbers, not just the
 /// coarse per-query QueryStats totals: index build sizes, filter in/out
-/// counts, the positional bound chosen per query, VP-tree probe costs,
-/// stage latencies, thread-pool load, and arithmetic saturations all land
-/// here under stable dotted names ("search.knn.refined", ...).
+/// counts, the positional bound chosen per query, stage latencies,
+/// thread-pool load, and arithmetic saturations all land here under stable
+/// dotted names ("search.knn.refined", ...).
 ///
 /// Design:
 ///   * Registration is Mutex-guarded and happens once per site (the

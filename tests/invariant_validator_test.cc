@@ -4,8 +4,8 @@
 // debug builds). Corruption goes through InvariantTestPeer, a test-only
 // friend of the core data structures.
 
-#include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,12 +13,10 @@
 #include "core/binary_tree.h"
 #include "core/branch_profile.h"
 #include "core/inverted_file.h"
-#include "core/vptree.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "tree/tree.h"
 #include "util/logging.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace treesim {
@@ -38,19 +36,14 @@ struct InvariantTestPeer {
       InvertedFileIndex& index) {
     return index.lists_;
   }
-  static std::vector<int>& TreeSizes(InvertedFileIndex& index) {
-    return index.tree_sizes_;
+  static std::vector<BranchProfile>& Profiles(InvertedFileIndex& index) {
+    return index.profiles_;
   }
-  static size_t NodeCount(const VpTree& v) { return v.nodes_.size(); }
-  static bool IsLeaf(const VpTree& v, size_t i) { return v.nodes_[i].is_leaf; }
-  static int64_t& Radius(VpTree& v, size_t i) { return v.nodes_[i].radius; }
 };
 
 namespace {
 
-using testing::MakeLabelPool;
 using testing::MakeTree;
-using testing::RandomTree;
 
 TEST(TreeInvariantsTest, ValidTreesPass) {
   EXPECT_TRUE(Tree().ValidateInvariants().ok());
@@ -221,8 +214,11 @@ TEST(InvertedFileInvariantsTest, PositionOutOfRangeIsCaught) {
   const auto labels = std::make_shared<LabelDictionary>();
   InvertedFileIndex index(2);
   index.Add(MakeTree("a{b c}", labels));
-  InvariantTestPeer::Lists(index).front().front().positions.front().first =
-      99;
+  InvariantTestPeer::Profiles(index)
+      .front()
+      .entries.front()
+      .occurrences.front()
+      .first = 99;
   const Status s = index.ValidateInvariants();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("outside [1, |T|]"), std::string::npos) << s;
@@ -233,73 +229,41 @@ TEST(InvertedFileInvariantsTest, SizeTotalMismatchIsCaught) {
   InvertedFileIndex index(2);
   index.Add(MakeTree("a{b c}", labels));
   // Claim the tree is bigger than its occurrence total.
-  InvariantTestPeer::TreeSizes(index).front() += 1;
+  InvariantTestPeer::Profiles(index).front().tree_size += 1;
   EXPECT_FALSE(index.ValidateInvariants().ok());
+}
+
+TEST(InvertedFileInvariantsTest, OccurrenceMovedBetweenTreesIsCaught) {
+  const auto labels = std::make_shared<LabelDictionary>();
+  InvertedFileIndex index(2);
+  // Two copies of one tree whose b(ε,b) and c(ε,c) each occur twice.
+  index.Add(MakeTree("a{b b b c c c}", labels));
+  index.Add(MakeTree("a{b b b c c c}", labels));
+  // Move one occurrence from tree 0 to tree 1 in one list and one back in
+  // another: per-tree and per-list totals, list order and positive counts
+  // all survive, so only the postings-vs-profiles check can fire.
+  std::vector<std::vector<InvertedFileIndex::Posting>*> doubled;
+  for (auto& list : InvariantTestPeer::Lists(index)) {
+    if (list.size() == 2 && list[0].count >= 2 && list[1].count >= 2) {
+      doubled.push_back(&list);
+    }
+  }
+  ASSERT_GE(doubled.size(), 2u);
+  (*doubled[0])[0].count -= 1;
+  (*doubled[0])[1].count += 1;
+  (*doubled[1])[0].count += 1;
+  (*doubled[1])[1].count -= 1;
+  const Status s = index.ValidateInvariants();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("profile"), std::string::npos) << s;
 }
 
 TEST(InvertedFileInvariantsDeathTest, CheckOkAbortsOnCorruptIndex) {
   const auto labels = std::make_shared<LabelDictionary>();
   InvertedFileIndex index(2);
   index.Add(MakeTree("a{b}", labels));
-  InvariantTestPeer::TreeSizes(index).front() = 0;
+  InvariantTestPeer::Profiles(index).front().tree_size = 0;
   EXPECT_DEATH(TREESIM_CHECK_OK(index.ValidateInvariants()), "CHECK failed");
-}
-
-class VpTreeInvariantsTest : public ::testing::Test {
- protected:
-  /// Indexes 40 random 12-node trees: enough profiles for internal nodes
-  /// (leaf buckets hold 8) and enough label spread for nonzero distances.
-  void BuildIndex() {
-    const auto labels = std::make_shared<LabelDictionary>();
-    const std::vector<LabelId> pool = MakeLabelPool(labels, 6);
-    Rng rng(20260805);
-    BranchDictionary dict(2);
-    for (int i = 0; i < 40; ++i) {
-      profiles_.push_back(
-          BranchProfile::FromTree(RandomTree(12, pool, labels, rng), dict));
-    }
-    vptree_ = std::make_unique<VpTree>(&profiles_, rng);
-  }
-
-  std::vector<BranchProfile> profiles_;
-  std::unique_ptr<VpTree> vptree_;
-};
-
-TEST_F(VpTreeInvariantsTest, ValidIndexPasses) {
-  BuildIndex();
-  EXPECT_TRUE(vptree_->ValidateInvariants().ok());
-}
-
-TEST_F(VpTreeInvariantsTest, BallContainmentViolationIsCaught) {
-  BuildIndex();
-  ASSERT_GT(vptree_->Depth(), 1) << "need an internal node to corrupt";
-  // A negative radius makes every inside-subtree profile violate the ball:
-  // BDist >= 0 > radius.
-  bool corrupted = false;
-  for (size_t i = 0; i < InvariantTestPeer::NodeCount(*vptree_); ++i) {
-    if (!InvariantTestPeer::IsLeaf(*vptree_, i)) {
-      InvariantTestPeer::Radius(*vptree_, i) = -1;
-      corrupted = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(corrupted);
-  const Status s = vptree_->ValidateInvariants();
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("ball"), std::string::npos) << s;
-}
-
-TEST_F(VpTreeInvariantsTest, DeathOnCorruptBall) {
-  BuildIndex();
-  ASSERT_GT(vptree_->Depth(), 1);
-  for (size_t i = 0; i < InvariantTestPeer::NodeCount(*vptree_); ++i) {
-    if (!InvariantTestPeer::IsLeaf(*vptree_, i)) {
-      InvariantTestPeer::Radius(*vptree_, i) = -1;
-      break;
-    }
-  }
-  EXPECT_DEATH(TREESIM_CHECK_OK(vptree_->ValidateInvariants()),
-               "CHECK failed");
 }
 
 TEST(CheckMacrosTest, CheckOpPrintsBothOperandValues) {

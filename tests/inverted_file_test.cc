@@ -1,9 +1,14 @@
 #include "core/inverted_file.h"
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace treesim {
 namespace {
@@ -36,51 +41,75 @@ TEST(InvertedFileTest, PostingsMatchPaperInvertedFile) {
     return 0;
   };
 
-  const auto& c_list = index.postings(find_branch("c(\xCE\xB5,d)"));
+  const BranchId c_branch = find_branch("c(\xCE\xB5,d)");
+  const auto& c_list = index.postings(c_branch);
   ASSERT_EQ(c_list.size(), 2u);
   EXPECT_EQ(c_list[0].tree_id, 0);
-  EXPECT_EQ(c_list[0].count(), 2);
+  EXPECT_EQ(c_list[0].count, 2);
   EXPECT_EQ(c_list[1].tree_id, 1);
-  EXPECT_EQ(c_list[1].count(), 2);
-  // Positions of c(ε,d) in T1: (3,1) and (6,4).
-  EXPECT_EQ(c_list[0].positions,
+  EXPECT_EQ(c_list[1].count, 2);
+  // Positions of c(ε,d) in T1: (3,1) and (6,4), held by T1's profile.
+  const BranchProfile& t1 = index.profiles()[0];
+  const auto c_entry =
+      std::find_if(t1.entries.begin(), t1.entries.end(),
+                   [&](const BranchEntry& e) { return e.branch == c_branch; });
+  ASSERT_NE(c_entry, t1.entries.end());
+  EXPECT_EQ(c_entry->occurrences,
             (std::vector<std::pair<int, int>>{{3, 1}, {6, 4}}));
 
-  EXPECT_EQ(index.TreesContaining(find_branch("b(c,b)")),
-            std::vector<int>{0});
-  EXPECT_EQ(index.TreesContaining(find_branch("b(c,c)")),
-            std::vector<int>{1});
-  EXPECT_EQ(index.TreesContaining(find_branch("a(b,\xCE\xB5)")),
-            (std::vector<int>{0, 1}));
+  const auto trees_containing = [&](const std::string& name) {
+    std::vector<int> ids;
+    for (const auto& posting : index.postings(find_branch(name))) {
+      ids.push_back(posting.tree_id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(trees_containing("b(c,b)"), std::vector<int>{0});
+  EXPECT_EQ(trees_containing("b(c,c)"), std::vector<int>{1});
+  EXPECT_EQ(trees_containing("a(b,\xCE\xB5)"), (std::vector<int>{0, 1}));
 }
 
-TEST(InvertedFileTest, BuildProfilesMatchesDirectExtraction) {
-  // Algorithm 1's IFI scan must produce exactly the profiles that direct
-  // per-tree extraction produces.
+TEST(InvertedFileTest, ProfilesMatchDirectExtraction) {
+  // The profiles an index builds as trees are added must be exactly the
+  // profiles that direct per-tree extraction produces — through Add(), a
+  // pooled AddAll(), and at q = 3.
   auto dict = std::make_shared<LabelDictionary>();
   const std::vector<LabelId> pool = MakeLabelPool(dict, 4);
   Rng rng(311);
-  InvertedFileIndex index(2);
   std::vector<Tree> trees;
   for (int i = 0; i < 30; ++i) {
     trees.push_back(RandomTree(rng.UniformInt(1, 40), pool, dict, rng));
-    index.Add(trees.back());
   }
-  const std::vector<BranchProfile> profiles = index.BuildProfiles();
-  ASSERT_EQ(profiles.size(), trees.size());
-  for (size_t i = 0; i < trees.size(); ++i) {
-    const BranchProfile direct =
-        BranchProfile::FromTree(trees[i], index.branch_dict());
-    ASSERT_EQ(profiles[i].entries.size(), direct.entries.size()) << i;
-    EXPECT_EQ(profiles[i].tree_size, direct.tree_size);
-    EXPECT_EQ(profiles[i].q, direct.q);
-    EXPECT_EQ(profiles[i].factor, direct.factor);
-    for (size_t e = 0; e < direct.entries.size(); ++e) {
-      EXPECT_EQ(profiles[i].entries[e].branch, direct.entries[e].branch);
-      EXPECT_EQ(profiles[i].entries[e].occurrences,
-                direct.entries[e].occurrences);
-      EXPECT_EQ(profiles[i].entries[e].posts_sorted,
-                direct.entries[e].posts_sorted);
+  ThreadPool workers(4);
+  for (const int q : {2, 3}) {
+    for (ThreadPool* build_pool : {static_cast<ThreadPool*>(nullptr),
+                                   &workers}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "q=" << q << (build_pool ? " pooled" : " per tree"));
+      InvertedFileIndex index(q);
+      if (build_pool == nullptr) {
+        for (const Tree& t : trees) index.Add(t);
+      } else {
+        index.AddAll(trees, build_pool);
+      }
+      EXPECT_TRUE(index.ValidateInvariants().ok());
+      const std::vector<BranchProfile>& profiles = index.profiles();
+      ASSERT_EQ(profiles.size(), trees.size());
+      for (size_t i = 0; i < trees.size(); ++i) {
+        const BranchProfile direct =
+            BranchProfile::FromTree(trees[i], index.branch_dict());
+        ASSERT_EQ(profiles[i].entries.size(), direct.entries.size()) << i;
+        EXPECT_EQ(profiles[i].tree_size, direct.tree_size);
+        EXPECT_EQ(profiles[i].q, direct.q);
+        EXPECT_EQ(profiles[i].factor, direct.factor);
+        for (size_t e = 0; e < direct.entries.size(); ++e) {
+          EXPECT_EQ(profiles[i].entries[e].branch, direct.entries[e].branch);
+          EXPECT_EQ(profiles[i].entries[e].occurrences,
+                    direct.entries[e].occurrences);
+          EXPECT_EQ(profiles[i].entries[e].posts_sorted,
+                    direct.entries[e].posts_sorted);
+        }
+      }
     }
   }
 }
@@ -105,7 +134,7 @@ TEST(InvertedFileTest, QLevelIndexing) {
   InvertedFileIndex index(3);
   index.Add(MakeTree("a{b{c}}", dict));
   EXPECT_EQ(index.branch_dict().q(), 3);
-  const std::vector<BranchProfile> profiles = index.BuildProfiles();
+  const std::vector<BranchProfile>& profiles = index.profiles();
   ASSERT_EQ(profiles.size(), 1u);
   EXPECT_EQ(profiles[0].factor, 9);
   EXPECT_EQ(profiles[0].total_count(), 3);
@@ -114,7 +143,7 @@ TEST(InvertedFileTest, QLevelIndexing) {
 TEST(InvertedFileTest, EmptyIndexBuildsNoProfiles) {
   InvertedFileIndex index(2);
   EXPECT_EQ(index.tree_count(), 0);
-  EXPECT_TRUE(index.BuildProfiles().empty());
+  EXPECT_TRUE(index.profiles().empty());
 }
 
 }  // namespace

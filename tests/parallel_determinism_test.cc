@@ -68,7 +68,23 @@ TEST(ParallelDeterminismTest, InvertedFileBuildIdentical) {
     ASSERT_EQ(pp.size(), sp.size()) << "branch " << b;
     for (size_t p = 0; p < sp.size(); ++p) {
       EXPECT_EQ(pp[p].tree_id, sp[p].tree_id) << "branch " << b;
-      EXPECT_EQ(pp[p].positions, sp[p].positions) << "branch " << b;
+      EXPECT_EQ(pp[p].count, sp[p].count) << "branch " << b;
+    }
+  }
+  // The positions live in the profiles: compare them occurrence by
+  // occurrence.
+  ASSERT_EQ(parallel.profiles().size(), serial.profiles().size());
+  for (size_t i = 0; i < serial.profiles().size(); ++i) {
+    const BranchProfile& sp = serial.profiles()[i];
+    const BranchProfile& pp = parallel.profiles()[i];
+    EXPECT_EQ(pp.tree_size, sp.tree_size) << "tree " << i;
+    ASSERT_EQ(pp.entries.size(), sp.entries.size()) << "tree " << i;
+    for (size_t e = 0; e < sp.entries.size(); ++e) {
+      EXPECT_EQ(pp.entries[e].branch, sp.entries[e].branch) << "tree " << i;
+      EXPECT_EQ(pp.entries[e].occurrences, sp.entries[e].occurrences)
+          << "tree " << i;
+      EXPECT_EQ(pp.entries[e].posts_sorted, sp.entries[e].posts_sorted)
+          << "tree " << i;
     }
   }
   EXPECT_TRUE(parallel.ValidateInvariants().ok());

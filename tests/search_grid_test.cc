@@ -27,7 +27,6 @@ enum class EngineKind {
   kBiBranchPlain,
   kBiBranchQ3,
   kBiBranchGreedy,
-  kBiBranchVpTree,
   kHisto,
   kHistoFolded,
   kSeqQGram,
@@ -57,8 +56,6 @@ std::string EngineName(EngineKind kind) {
       return "BiBranchQ3";
     case EngineKind::kBiBranchGreedy:
       return "BiBranchGreedy";
-    case EngineKind::kBiBranchVpTree:
-      return "BiBranchVpTree";
     case EngineKind::kHisto:
       return "Histo";
     case EngineKind::kHistoFolded:
@@ -129,11 +126,6 @@ std::unique_ptr<FilterIndex> MakeEngineFilter(EngineKind kind) {
       o.matching = MatchingMode::kGreedy;
       return std::make_unique<BiBranchFilter>(o);
     }
-    case EngineKind::kBiBranchVpTree: {
-      BiBranchFilter::Options o;
-      o.use_vptree = true;
-      return std::make_unique<BiBranchFilter>(o);
-    }
     case EngineKind::kHisto:
       return std::make_unique<HistogramFilter>();
     case EngineKind::kHistoFolded: {
@@ -190,8 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
                           DataKind::kDblp, DataKind::kDeep),
         ::testing::Values(EngineKind::kBiBranch, EngineKind::kBiBranchPlain,
                           EngineKind::kBiBranchQ3,
-                          EngineKind::kBiBranchGreedy,
-                          EngineKind::kBiBranchVpTree, EngineKind::kHisto,
+                          EngineKind::kBiBranchGreedy, EngineKind::kHisto,
                           EngineKind::kHistoFolded, EngineKind::kSeqQGram)),
     [](const ::testing::TestParamInfo<GridParam>& info) {
       return DataName(std::get<0>(info.param)) +

@@ -123,15 +123,11 @@ TEST_F(WeightedSearchTest, NonFiniteAndHugeThresholdsAgreeAcrossFilters) {
   // admits every tree; NaN admits none, which is also the verifier's answer
   // to a NaN threshold. Every filter must give the sequential scan's answer
   // rather than dropping trees on an out-of-range threshold conversion.
-  BiBranchFilter::Options vp_options;
-  vp_options.use_vptree = true;
   SimilaritySearch bibranch(db_.get(), std::make_unique<BiBranchFilter>());
-  SimilaritySearch bibranch_vp(db_.get(),
-                               std::make_unique<BiBranchFilter>(vp_options));
   SimilaritySearch histo(db_.get(), std::make_unique<HistogramFilter>());
   SimilaritySearch sequence(db_.get(), std::make_unique<SequenceFilter>());
   const std::vector<SimilaritySearch*> engines = {
-      sequential_.get(), &bibranch, &bibranch_vp, &histo, &sequence};
+      sequential_.get(), &bibranch, &histo, &sequence};
   Rng rng(1619);
   const Tree query = RandomTree(10, pool_, dict_, rng);
   const CostModel* models[] = {&UnitCostModel::Get(), &costs_};

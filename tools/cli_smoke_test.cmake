@@ -47,6 +47,38 @@ file(WRITE ${xml}
 run_cli("imported 2 records" import --xml=${xml} --out=${TMP}/imported.trees)
 run_cli("trees: +2" stats --data=${TMP}/imported.trees)
 
+# An integer flag outside its domain is an InvalidArgument (exit 1), not a
+# CHECK abort (134) or a silent wrap: assert the exact code.
+function(run_cli_rejects)
+  execute_process(
+    COMMAND ${CLI} ${ARGN}
+    RESULT_VARIABLE code
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(NOT code EQUAL 1 OR NOT err MATCHES "INVALID_ARGUMENT")
+    message(FATAL_ERROR
+      "treesim_cli ${ARGN}: expected exit 1 with INVALID_ARGUMENT, "
+      "got ${code}: ${err}")
+  endif()
+endfunction()
+
+set(query "--query=article{author{auth0} title{ttl1} year{y0} journal{venue0}}")
+set(small ${TMP}/cli_smoke_3.trees)
+run_cli("wrote" generate --kind=dblp --count=3 --out=${small} --seed=5)
+run_cli_rejects(knn --data=${data} ${query} --k=0)
+run_cli_rejects(knn --data=${data} ${query} --k=4294967297)
+run_cli_rejects(knn --data=${data} ${query} --k=abc)
+run_cli_rejects(range --data=${data} ${query} --tau=4294967296)
+run_cli_rejects(range --data=${data} ${query} --tau=-1)
+run_cli_rejects(join --data=${data} --tau=1 --threads=-1)
+run_cli_rejects(cluster --data=${small} --k=0)
+run_cli_rejects(cluster --data=${small} --k=4)
+run_cli("cost=" cluster --data=${small} --k=3)
+run_cli_rejects(distance "--a=a{b}" "--b=a{c}" --q=1)
+run_cli_rejects(generate --kind=synthetic --count=-5 --out=${TMP}/never.trees)
+run_cli_rejects(generate --kind=synthetic --labels=0 --out=${TMP}/never.trees)
+run_cli_rejects(stats --data=${data} --flight-recorder=-1)
+
 # Error paths exit non-zero.
 execute_process(COMMAND ${CLI} stats --data=/no/such/file
                 RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)

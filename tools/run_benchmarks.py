@@ -55,7 +55,7 @@ SUITE = [
     ("ablation_histogram_budget", ["--trees=200", "--queries=4"], []),
     ("parallel_speedup", ["--trees=120", "--queries=8"], []),
     ("micro_core",
-     ["--benchmark_filter=BM_ProfileConstruction/.*",
+     ["--benchmark_filter=BM_ProfileConstruction/.*|BM_InvertedFileBuild/100",
       "--benchmark_min_time=0.05"], []),
     ("micro_distances",
      ["--benchmark_filter=.*ZhangShasha/50$",

@@ -14,9 +14,12 @@
 //
 // Run `treesim_cli <command> --help` (or no arguments) for usage.
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -151,39 +154,70 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Pool for `--threads=N` (0 = every hardware thread). Returns nullptr —
-/// the engines' sequential path — when one worker would be enough for
-/// `items` units of work.
-std::unique_ptr<ThreadPool> MakePool(const FlagParser& flags, int64_t items) {
-  const int threads = static_cast<int>(flags.GetInt("threads", 1));
-  const int effective = ClampThreads(threads, items);
-  if (effective <= 1) return nullptr;
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+
+/// `--key=N` as an integer in [lo, hi], or `def` when the flag is absent.
+/// Every integer flag is read through here: a value that is not an integer
+/// or lies outside the flag's domain is an InvalidArgument, so it never
+/// reaches a library precondition or wraps in a narrowing conversion.
+template <typename T>
+StatusOr<T> IntFlag(const FlagParser& flags, const std::string& key, T def,
+                    T lo, T hi) {
+  if (!flags.Has(key)) return def;
+  const std::string text = flags.GetString(key, "");
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return Status::InvalidArgument(
+        "--" + key + "=" + text + " is not an integer in [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<T>(value);
+}
+
+/// Pool for `--threads=N` (0 = every hardware thread). Holds nullptr — the
+/// engines' sequential path — when one worker would be enough for `items`
+/// units of work.
+StatusOr<std::unique_ptr<ThreadPool>> MakePool(const FlagParser& flags,
+                                               int64_t items) {
+  const StatusOr<int> threads = IntFlag(flags, "threads", 1, 0, kIntMax);
+  if (!threads.ok()) return threads.status();
+  const int effective = ClampThreads(*threads, items);
+  if (effective <= 1) return std::unique_ptr<ThreadPool>();
   return std::make_unique<ThreadPool>(effective);
 }
 
 int CmdGenerate(const FlagParser& flags) {
   const std::string kind = flags.GetString("kind", "synthetic");
-  const int count = static_cast<int>(flags.GetInt("count", 1000));
+  const StatusOr<int> count = IntFlag(flags, "count", 1000, 1, kIntMax);
+  if (!count.ok()) return Fail(count.status());
   const std::string out = flags.GetString("out", "");
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const StatusOr<int64_t> seed =
+      IntFlag<int64_t>(flags, "seed", 1, 0, kInt64Max);
+  if (!seed.ok()) return Fail(seed.status());
   if (out.empty()) return Fail(Status::InvalidArgument("missing --out"));
 
   auto labels = std::make_shared<LabelDictionary>();
   std::vector<Tree> forest;
   if (kind == "synthetic") {
+    const StatusOr<int> label_count = IntFlag(flags, "labels", 8, 1, kIntMax);
+    if (!label_count.ok()) return Fail(label_count.status());
     SyntheticParams params;
     params.size_mean = flags.GetDouble("size", 50);
     params.fanout_mean = flags.GetDouble("fanout", 4);
-    params.label_count = static_cast<int>(flags.GetInt("labels", 8));
+    params.label_count = *label_count;
     params.decay = flags.GetDouble("decay", 0.05);
-    SyntheticGenerator gen(params, labels, seed);
-    forest = gen.GenerateDataset(count);
-    std::printf("generated %d trees (%s)\n", count,
+    SyntheticGenerator gen(params, labels, static_cast<uint64_t>(*seed));
+    forest = gen.GenerateDataset(*count);
+    std::printf("generated %d trees (%s)\n", *count,
                 params.ToString().c_str());
   } else if (kind == "dblp") {
-    DblpGenerator gen(DblpParams{}, labels, seed);
-    forest = gen.Generate(count);
-    std::printf("generated %d DBLP-like records\n", count);
+    DblpGenerator gen(DblpParams{}, labels, static_cast<uint64_t>(*seed));
+    forest = gen.Generate(*count);
+    std::printf("generated %d DBLP-like records\n", *count);
   } else {
     return Fail(Status::InvalidArgument("unknown --kind '" + kind + "'"));
   }
@@ -258,7 +292,10 @@ int CmdDistance(const FlagParser& flags) {
   if (!b_or.ok()) return Fail(b_or.status());
   const Tree& a = *a_or;
   const Tree& b = *b_or;
-  const int q = static_cast<int>(flags.GetInt("q", 2));
+  // BranchDictionary's own domain: q = 1 records no structure (Section 3.4).
+  const StatusOr<int> q_or = IntFlag(flags, "q", 2, 2, 20);
+  if (!q_or.ok()) return Fail(q_or.status());
+  const int q = *q_or;
 
   BranchDictionary branches(q);
   const BranchProfile pa = BranchProfile::FromTree(a, branches);
@@ -324,12 +361,15 @@ int CmdRange(const FlagParser& flags) {
   if (!db_or.ok()) return Fail(db_or.status());
   auto query_or = ParseTreeFlag(flags, "query", labels);
   if (!query_or.ok()) return Fail(query_or.status());
-  const int tau = static_cast<int>(flags.GetInt("tau", 2));
+  const StatusOr<int> tau_or = IntFlag(flags, "tau", 2, 0, kIntMax);
+  if (!tau_or.ok()) return Fail(tau_or.status());
+  const int tau = *tau_or;
+  const auto pool = MakePool(flags, (*db_or)->size());
+  if (!pool.ok()) return Fail(pool.status());
 
   SimilaritySearch engine(db_or->get(),
                           MakeFilter(flags.GetString("filter", "bibranch")));
-  const std::unique_ptr<ThreadPool> pool = MakePool(flags, (*db_or)->size());
-  const RangeResult r = engine.Range(*query_or, tau, pool.get());
+  const RangeResult r = engine.Range(*query_or, tau, pool->get());
   std::printf("%zu matches within distance %d (%s refined %lld/%lld, "
               "%.1f ms filter + %.1f ms refine)\n",
               r.matches.size(), tau, engine.filter_name().c_str(),
@@ -349,12 +389,14 @@ int CmdKnn(const FlagParser& flags) {
   if (!db_or.ok()) return Fail(db_or.status());
   auto query_or = ParseTreeFlag(flags, "query", labels);
   if (!query_or.ok()) return Fail(query_or.status());
-  const int k = static_cast<int>(flags.GetInt("k", 5));
+  const StatusOr<int> k = IntFlag(flags, "k", 5, 1, kIntMax);
+  if (!k.ok()) return Fail(k.status());
+  const auto pool = MakePool(flags, (*db_or)->size());
+  if (!pool.ok()) return Fail(pool.status());
 
   SimilaritySearch engine(db_or->get(),
                           MakeFilter(flags.GetString("filter", "bibranch")));
-  const std::unique_ptr<ThreadPool> pool = MakePool(flags, (*db_or)->size());
-  const KnnResult r = engine.Knn(*query_or, k, pool.get());
+  const KnnResult r = engine.Knn(*query_or, *k, pool->get());
   std::printf("%d nearest neighbors (%s refined %lld/%lld)\n",
               static_cast<int>(r.neighbors.size()),
               engine.filter_name().c_str(),
@@ -371,11 +413,14 @@ int CmdJoin(const FlagParser& flags) {
   auto labels = std::make_shared<LabelDictionary>();
   auto db_or = LoadDatabase(flags.GetString("data", ""), labels);
   if (!db_or.ok()) return Fail(db_or.status());
-  const int tau = static_cast<int>(flags.GetInt("tau", 2));
+  const StatusOr<int> tau_or = IntFlag(flags, "tau", 2, 0, kIntMax);
+  if (!tau_or.ok()) return Fail(tau_or.status());
+  const int tau = *tau_or;
+  const auto pool = MakePool(flags, (*db_or)->size());
+  if (!pool.ok()) return Fail(pool.status());
   SimilarityJoin join(db_or->get(),
                       MakeFilter(flags.GetString("filter", "bibranch")));
-  const std::unique_ptr<ThreadPool> pool = MakePool(flags, (*db_or)->size());
-  const JoinResult r = join.SelfJoin(tau, pool.get());
+  const JoinResult r = join.SelfJoin(tau, pool->get());
   std::printf("%zu pairs within distance %d (refined %lld of %lld pairs)\n",
               r.pairs.size(), tau,
               static_cast<long long>(r.stats.edit_distance_calls),
@@ -395,9 +440,15 @@ int CmdCluster(const FlagParser& flags) {
   auto labels = std::make_shared<LabelDictionary>();
   auto db_or = LoadDatabase(flags.GetString("data", ""), labels);
   if (!db_or.ok()) return Fail(db_or.status());
+  // k medoids are drawn from the database, so k is at most its size.
+  const StatusOr<int> k = IntFlag(flags, "k", 3, 1, (*db_or)->size());
+  if (!k.ok()) return Fail(k.status());
+  const StatusOr<int64_t> seed =
+      IntFlag<int64_t>(flags, "seed", 1, 0, kInt64Max);
+  if (!seed.ok()) return Fail(seed.status());
   KMedoidsOptions options;
-  options.k = static_cast<int>(flags.GetInt("k", 3));
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
+  options.k = *k;
+  Rng rng(static_cast<uint64_t>(*seed));
   const ClusteringResult r = KMedoids(**db_or, options, rng);
   std::printf("k=%d cost=%lld iterations=%d (exact distances: %lld, "
               "pruned by filter: %lld)\n",
@@ -511,16 +562,19 @@ int DumpMetrics(const std::string& mode, const std::string& out_path) {
 /// compiled out, so asking for a log file is an error rather than silence.
 int OpenQueryLog(const FlagParser& flags) {
   const std::string path = flags.GetString("query-log", "");
-  const int64_t slow_ms = flags.GetInt("slow-query-ms", -1);
+  // -1 (absent) logs every query; the bound keeps the microseconds in range.
+  const StatusOr<int64_t> slow_ms =
+      IntFlag<int64_t>(flags, "slow-query-ms", -1, 0, kInt64Max / 1000);
+  if (!slow_ms.ok()) return Fail(slow_ms.status());
   if (path.empty()) {
-    if (slow_ms >= 0) {
+    if (*slow_ms >= 0) {
       std::fprintf(stderr, "--slow-query-ms requires --query-log=FILE\n");
       return 2;
     }
     return 0;
   }
   StructuredLog& qlog = StructuredLog::Global();
-  if (slow_ms >= 0) qlog.set_slow_query_micros(slow_ms * 1000);
+  if (*slow_ms >= 0) qlog.set_slow_query_micros(*slow_ms * 1000);
   const Status status = qlog.OpenFile(path);
   if (!status.ok()) {
     std::fprintf(stderr, "cannot open query log: %s\n",
@@ -555,15 +609,16 @@ int WriteTrace(const std::string& path) {
 /// its contents after the command. Like --query-log, requesting it in a
 /// -DTREESIM_METRICS=OFF build is an error rather than silence.
 int ConfigureFlightRecorder(const FlagParser& flags, bool* dump_after) {
-  const int64_t n = flags.GetInt("flight-recorder", 0);
-  if (n <= 0) return 0;
+  const StatusOr<int> n = IntFlag(flags, "flight-recorder", 0, 0, kIntMax);
+  if (!n.ok()) return Fail(n.status());
+  if (*n == 0) return 0;
   if (!kMetricsEnabled) {
     std::fprintf(stderr,
                  "--flight-recorder requires a build with metrics enabled "
                  "(-DTREESIM_METRICS=ON)\n");
     return 2;
   }
-  FlightRecorder::Global().Configure(static_cast<int>(n));
+  FlightRecorder::Global().Configure(*n);
   *dump_after = true;
   return 0;
 }
