@@ -266,8 +266,8 @@ inline void PrintStageBreakdown(const MetricsSnapshot& d) {
       static_cast<long long>(d.counter("safe_math.saturations")));
   // Bounded-verifier telemetry: how much DP work the threshold pruned.
   // bounded_calls counts refine invocations; cells pruned/computed split
-  // the forest-matrix work; early exits abandon whole keyroot pairs and
-  // mirror counts the RTED-style orientation flips.
+  // the forest-matrix work; mirrored counts the RTED-style orientation
+  // flips.
   const long long bounded_calls = d.counter("ted.bounded_calls") +
                                   d.counter("ted.bounded_weighted_calls");
   if (bounded_calls > 0) {
@@ -277,10 +277,8 @@ inline void PrintStageBreakdown(const MetricsSnapshot& d) {
         static_cast<double>(d.counter("ted.bounded_cells_band_pruned"));
     const double total = computed + pruned;
     std::printf(
-        "    bounded: calls=%lld cells_pruned=%.1f%% early_exits=%lld "
-        "mirrored=%lld\n",
+        "    bounded: calls=%lld cells_pruned=%.1f%% mirrored=%lld\n",
         bounded_calls, total > 0.0 ? 100.0 * pruned / total : 0.0,
-        static_cast<long long>(d.counter("ted.bounded_keyroot_early_exits")),
         static_cast<long long>(d.counter("ted.bounded_mirror_strategy")));
   }
 }

@@ -1,17 +1,24 @@
 // Microbenchmark behind the paper's motivation (Sections 1 and 5): the
 // exact tree edit distance costs O(|T1||T2| * kr^2) while the binary branch
 // lower bound costs O(|T1| + |T2|) — the gap that makes filter-and-refine
-// worthwhile grows quadratically with tree size.
+// worthwhile grows quadratically with tree size. The bounded refine kernel
+// is timed on the two kinds of pair a verifier meets: a filter survivor a
+// few edits away, and an unrelated tree it must reject.
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "benchmark/benchmark.h"
 #include "micro_report.h"
 #include "core/branch_profile.h"
 #include "core/positional.h"
+#include "datagen/edit_noise.h"
 #include "datagen/synthetic_generator.h"
 #include "filters/histogram_filter.h"
+#include "ted/bounded_ted.h"
 #include "ted/naive_ted.h"
 #include "ted/zhang_shasha.h"
+#include "util/random.h"
 
 namespace treesim {
 namespace {
@@ -114,6 +121,80 @@ BENCHMARK_DEFINE_F(TreePairFixture, TedViewConstruction)
   }
 }
 BENCHMARK_REGISTER_F(TreePairFixture, TedViewConstruction)->Arg(50)->Arg(250);
+
+/// First tree `draw` returns with exactly `size` nodes. The bounded pairs
+/// are drawn at equal size so the kernel's size-difference check never
+/// answers for it and every case times the banded DP.
+template <typename Draw>
+Tree DrawOfSize(int size, Draw draw) {
+  for (;;) {
+    Tree t = draw();
+    if (t.size() == size) return t;
+  }
+}
+
+/// Args: (tree size, tau). `close_` is a seed tree and a 3-edit mutation
+/// of it; `far_` is the same seed tree and one grown from another
+/// generator seed.
+class BoundedPairFixture : public benchmark::Fixture {
+ public:
+  void SetUp(const ::benchmark::State& state) override {
+    const int size = static_cast<int>(state.range(0));
+    labels_ = std::make_shared<LabelDictionary>();
+    SyntheticGenerator gen(ParamsForSize(size), labels_, 17);
+    const Tree a = gen.GenerateSeedTree();
+    std::vector<LabelId> pool;
+    for (NodeId n = 0; n < a.size(); ++n) pool.push_back(a.label(n));
+    std::sort(pool.begin(), pool.end());
+    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+    Rng rng(19);
+    const Tree near = DrawOfSize(a.size(), [&] {
+      return ApplyRandomEdits(a, 3, pool, rng).tree;
+    });
+    SyntheticGenerator other(ParamsForSize(size), labels_, 18);
+    const Tree far =
+        DrawOfSize(a.size(), [&] { return other.GenerateSeedTree(); });
+    a_ = std::make_unique<TedTree>(TedTree::FromTree(a));
+    close_ = std::make_unique<TedTree>(TedTree::FromTree(near));
+    far_ = std::make_unique<TedTree>(TedTree::FromTree(far));
+  }
+  void TearDown(const ::benchmark::State&) override {
+    a_.reset();
+    close_.reset();
+    far_.reset();
+    labels_.reset();
+  }
+
+ protected:
+  std::shared_ptr<LabelDictionary> labels_;
+  std::unique_ptr<TedTree> a_, close_, far_;
+};
+
+BENCHMARK_DEFINE_F(BoundedPairFixture, BoundedZhangShashaClose)
+(benchmark::State& state) {
+  const int tau = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BoundedTreeEditDistance(*a_, *close_, tau));
+  }
+}
+BENCHMARK_REGISTER_F(BoundedPairFixture, BoundedZhangShashaClose)
+    ->Args({50, 2})
+    ->Args({50, 8})
+    ->Args({125, 2})
+    ->Args({125, 8});
+
+BENCHMARK_DEFINE_F(BoundedPairFixture, BoundedZhangShashaFar)
+(benchmark::State& state) {
+  const int tau = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BoundedTreeEditDistance(*a_, *far_, tau));
+  }
+}
+BENCHMARK_REGISTER_F(BoundedPairFixture, BoundedZhangShashaFar)
+    ->Args({50, 2})
+    ->Args({50, 8})
+    ->Args({125, 2})
+    ->Args({125, 8});
 
 }  // namespace
 }  // namespace treesim

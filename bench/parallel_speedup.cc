@@ -1,19 +1,18 @@
-// Parallel scaling of the three pool-aware layers: the pairwise distance
-// matrix, inverted-file (Algorithm 1) index construction, and batch k-NN
-// over the filter-and-refine engine. Each layer runs sequentially and then
-// over a worker pool; the binary prints wall-clock speedups and verifies
-// that the parallel results are identical to the sequential ones (the
-// determinism contract the unit tests pin down on small corpora).
+// Parallel scaling of the two pool-aware layers: the pairwise distance
+// matrix and batch k-NN over the filter-and-refine engine. Each layer runs
+// sequentially and then over a worker pool; the binary prints wall-clock
+// speedups and verifies that the parallel results are identical to the
+// sequential ones (the determinism contract the unit tests pin down on
+// small corpora).
 //
 // Expected shape: pairwise speedup approaches the worker count (rows are
-// embarrassingly parallel); index build and batch k-NN scale sublinearly
-// (both keep a sequential interning/preparation phase).
+// embarrassingly parallel); batch k-NN scales sublinearly (it keeps a
+// sequential query-preparation phase).
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 
 #include "bench_util.h"
-#include "core/inverted_file.h"
 #include "search/pairwise.h"
 #include "search/similarity_join.h"
 #include "util/metrics.h"
@@ -112,29 +111,7 @@ int Main(int argc, char** argv) {
     report_layer("pairwise", seq_pairwise, par_pairwise, delta);
   }
 
-  // Layer 2: inverted-file construction (parallel extraction, sequential
-  // interning keeps BranchIds byte-identical).
-  Stopwatch seq_build_timer;
-  InvertedFileIndex seq_index(2);
-  seq_index.AddAll(db->trees(), nullptr);
-  const double seq_build = seq_build_timer.ElapsedSeconds();
-  snap = MetricsRegistry::Global().Snapshot();
-  Stopwatch par_build_timer;
-  InvertedFileIndex par_index(2);
-  par_index.AddAll(db->trees(), &pool);
-  const double par_build = par_build_timer.ElapsedSeconds();
-  Require(seq_index.branch_dict().size() == par_index.branch_dict().size(),
-          "index build");
-  std::printf("index build: %8.3fs -> %8.3fs  speedup %.2fx\n", seq_build,
-              par_build, seq_build / par_build);
-  {
-    const MetricsSnapshot delta =
-        MetricsRegistry::Global().Snapshot().DiffSince(snap);
-    PrintLayerBreakdown("index build", delta);
-    report_layer("index_build", seq_build, par_build, delta);
-  }
-
-  // Layer 3: batch k-NN through the filter-and-refine engine.
+  // Layer 2: batch k-NN through the filter-and-refine engine.
   std::vector<Tree> query_set;
   Rng rng(seed);
   for (int qi = 0; qi < queries; ++qi) {
@@ -163,7 +140,7 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("expected shape: pairwise speedup near the worker count; "
-              "build and k-NN sublinear\n\n");
+              "k-NN sublinear\n\n");
   return report.WriteIfRequested(common.json_path) ? 0 : 1;
 }
 

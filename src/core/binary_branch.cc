@@ -110,22 +110,4 @@ std::vector<BranchOccurrence> ExtractBranches(const Tree& t,
   return out;
 }
 
-std::vector<KeyedBranchOccurrence> ExtractBranchKeys(const Tree& t, int q) {
-  TREESIM_CHECK(!t.empty());
-  TREESIM_CHECK_GE(q, 2) << "branch level q must be >= 2 (Section 3.4)";
-  const TraversalPositions positions = ComputePositions(t);
-  const size_t key_length = (static_cast<size_t>(1) << q) - 1;
-
-  std::vector<KeyedBranchOccurrence> out;
-  out.reserve(static_cast<size_t>(t.size()));
-  BranchKey key(key_length, kEpsilonLabel);
-  for (const NodeId u : PreorderSequence(t)) {
-    FillBranchKey(t, u, q, key);
-    out.push_back(KeyedBranchOccurrence{
-        key, positions.pre[static_cast<size_t>(u)],
-        positions.post[static_cast<size_t>(u)]});
-  }
-  return out;
-}
-
 }  // namespace treesim

@@ -88,21 +88,6 @@ struct BranchOccurrence {
 std::vector<BranchOccurrence> ExtractBranches(const Tree& t,
                                               BranchDictionary& dict);
 
-/// A branch occurrence before dictionary interning: the raw key instead of
-/// a BranchId. This is the thread-safe half of ExtractBranches — it touches
-/// only `t`, so many trees can be extracted concurrently while the id
-/// assignment (which must stay in tree order to keep BranchIds
-/// deterministic) happens in a later sequential pass.
-struct KeyedBranchOccurrence {
-  BranchKey key;
-  int pre;
-  int post;
-};
-
-/// Pure key extraction for the parallel inverted-file build: same
-/// occurrences as ExtractBranches (preorder of T), no interning. `q` >= 2.
-std::vector<KeyedBranchOccurrence> ExtractBranchKeys(const Tree& t, int q);
-
 }  // namespace treesim
 
 #endif  // TREESIM_CORE_BINARY_BRANCH_H_

@@ -7,7 +7,6 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace treesim {
 
@@ -15,17 +14,13 @@ int InvertedFileIndex::Add(const Tree& t) {
   // Traverse(), insertPreOrder()/insertPostOrder() of Algorithm 1: one pass
   // produces every branch occurrence with both positions; appending at the
   // tail of the inverted list keeps each update O(1).
-  return AddOccurrences(t.size(), ExtractBranches(t, dict_));
-}
-
-int InvertedFileIndex::AddOccurrences(
-    int tree_size, std::vector<BranchOccurrence> occurrences) {
+  std::vector<BranchOccurrence> occurrences = ExtractBranches(t, dict_);
   TREESIM_COUNTER_INC("index.trees_added");
   TREESIM_COUNTER_ADD("index.branch_occurrences",
                       static_cast<int64_t>(occurrences.size()));
   const int tree_id = tree_count();
   profiles_.push_back(
-      BranchProfile::FromOccurrences(tree_size, dict_, std::move(occurrences)));
+      BranchProfile::FromOccurrences(t.size(), dict_, std::move(occurrences)));
   // A profile holds each branch once and tree ids only grow, so appending
   // keeps every inverted list strictly ascending by tree id.
   if (lists_.size() < dict_.size()) lists_.resize(dict_.size());
@@ -38,34 +33,8 @@ int InvertedFileIndex::AddOccurrences(
   return tree_id;
 }
 
-void InvertedFileIndex::AddAll(const std::vector<Tree>& trees,
-                               ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1 || trees.size() < 2) {
-    for (const Tree& t : trees) Add(t);
-  } else {
-    // Parallel phase: per-tree branch-key extraction into disjoint slots —
-    // the traversal-heavy part of Algorithm 1, touching only the input tree.
-    std::vector<std::vector<KeyedBranchOccurrence>> extracted(trees.size());
-    const int q = dict_.q();
-    pool->ParallelFor(static_cast<int64_t>(trees.size()), [&](int64_t i) {
-      extracted[static_cast<size_t>(i)] =
-          ExtractBranchKeys(trees[static_cast<size_t>(i)], q);
-    });
-    // Sequential phase, in tree order: interning assigns BranchIds in
-    // exactly the order the per-tree Add() path would (preorder within each
-    // tree), so the resulting dictionary, profiles and postings are
-    // byte-identical to a sequential build — determinism the tests pin down.
-    for (size_t i = 0; i < trees.size(); ++i) {
-      std::vector<BranchOccurrence> occurrences;
-      occurrences.reserve(extracted[i].size());
-      for (const KeyedBranchOccurrence& occ : extracted[i]) {
-        occurrences.push_back(
-            BranchOccurrence{dict_.Intern(occ.key), occ.pre, occ.post});
-      }
-      AddOccurrences(trees[i].size(), std::move(occurrences));
-      extracted[i].clear();  // free the keys as we go
-    }
-  }
+void InvertedFileIndex::AddAll(const std::vector<Tree>& trees) {
+  for (const Tree& t : trees) Add(t);
   TREESIM_DCHECK_OK(ValidateInvariants());
   // Inverted-list skew is what decides whether the Section 5 candidate
   // counts stay small, so the length distribution lands in the registry.

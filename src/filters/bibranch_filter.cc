@@ -38,7 +38,7 @@ std::string BiBranchFilter::name() const {
 void BiBranchFilter::Build(const std::vector<Tree>& trees) {
   TREESIM_TRACE_SPAN("filter.bibranch.build");
   TREESIM_CHECK_EQ(index_.tree_count(), 0) << "Build() called twice";
-  index_.AddAll(trees, options_.build_pool);
+  index_.AddAll(trees);
 }
 
 std::unique_ptr<FilterQueryContext> TREESIM_HOT BiBranchFilter::PrepareQuery(

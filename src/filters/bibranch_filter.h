@@ -29,9 +29,8 @@ class BiBranchFilter final : public FilterIndex {
     bool positional = true;
     /// How per-branch positional matchings are computed; see MatchingMode.
     MatchingMode matching = MatchingMode::kAuto;
-    /// Pool Build() fans the inverted-file construction out over (borrowed;
-    /// must outlive Build()). Index contents are byte-identical to a
-    /// sequential build. nullptr builds sequentially.
+    /// Unused: Build() is sequential. Kept only because existing callers
+    /// still set it; it is to be deleted with them.
     ThreadPool* build_pool = nullptr;
   };
 

@@ -37,7 +37,6 @@ struct ModelCosts {
 struct BoundedStats {
   int64_t cells_total = 0;     // what the unbounded kernel would compute
   int64_t cells_computed = 0;  // what the band actually computed
-  int64_t keyroot_pairs_exited = 0;
 };
 
 /// Zhang–Shasha over a diagonal band, with saturation at `cap`.
@@ -52,9 +51,8 @@ struct BoundedStats {
 /// values are themselves <= tau (costs are nonnegative) — i.e. inputs the
 /// invariant already guarantees exact.
 ///
-/// `td` is cap-initialized: subtree-pair cells the band (or the early
-/// exit) never writes stand for "farther than tau", which the invariant
-/// shows is the truth for them.
+/// `td` is cap-initialized: subtree-pair cells the band never writes stand
+/// for "farther than tau", which the invariant shows is the truth for them.
 template <typename Costs>
 typename Costs::Dist TREESIM_HOT BoundedImpl(const TedTree& t1,
                                              const TedTree& t2,
@@ -85,13 +83,6 @@ typename Costs::Dist TREESIM_HOT BoundedImpl(const TedTree& t1,
   };
   auto clamped = [&](Dist v) -> Dist { return v > tau ? cap : v; };
 
-  // Suffix minima over the earliest fd row each remaining row can read, for
-  // the early exit below. Both scratch vectors hoisted out of the pair loop.
-  std::vector<int> jump_suffix_min;
-  jump_suffix_min.reserve(static_cast<size_t>(n1) + 2);
-  std::vector<int> danger_prefix;
-  danger_prefix.reserve(static_cast<size_t>(n2) + 1);
-
   for (const int k1 : t1.keyroots) {
     for (const int k2 : t2.keyroots) {
       const int l1 = t1.lml[static_cast<size_t>(k1)];
@@ -100,60 +91,6 @@ typename Costs::Dist TREESIM_HOT BoundedImpl(const TedTree& t1,
       const int cols = k2 - l2 + 1;
       stats.cells_total =
           CheckedAdd(stats.cells_total, CheckedMul<int64_t>(rows, cols));
-      // Early-exit dependency arrays, computed LAZILY on the first row
-      // that could exit (most pairs never develop a capped streak past the
-      // band boundary, and an eager O(rows + cols) precompute per keyroot
-      // pair costs as much as the banded DP itself on trees with many
-      // small keyroot pairs).
-      //
-      // danger_prefix[y] = how many of columns 1..y would make a
-      // leftmost-path row's sub option read an IN-BAND cell of fd row 0:
-      // non-subtree columns (lml2(dj) != l2) whose jump column
-      // jy = lml2(dj) - l2 satisfies jy <= band. Reads with jy > band land
-      // out of band and fd_read substitutes cap, so they cannot smuggle a
-      // small value; tree-case columns only read the previous row and the
-      // in-row left neighbor.
-      //
-      // jump_suffix_min[x] = min over rows x..rows of the earliest fd row
-      // row x' can reach with an in-band read: lml1(di) - l1 when that is
-      // nonzero (pure sub-option rows); for rows on the keyroot's leftmost
-      // path (lml1(di) == l1), 0 if some in-band column is dangerous per
-      // danger_prefix (fd row 0 plus a td entry an earlier keyroot pair may
-      // have left small), else x' - 1. Sentinel INT_MAX past the end and
-      // for rows the band excludes entirely.
-      bool jumps_ready = false;
-      auto compute_jumps = [&]() {
-        danger_prefix.assign(static_cast<size_t>(cols) + 1, 0);
-        for (int y = 1; y <= cols; ++y) {
-          const int jy = t2.lml[static_cast<size_t>(l2 + y - 1)] - l2;
-          danger_prefix[static_cast<size_t>(y)] =
-              danger_prefix[static_cast<size_t>(y) - 1] +
-              (jy > 0 && jy <= band ? 1 : 0);
-        }
-        jump_suffix_min.assign(static_cast<size_t>(rows) + 2,
-                               std::numeric_limits<int>::max());
-        for (int x = rows; x >= 1; --x) {
-          const int lml_row = t1.lml[static_cast<size_t>(l1 + x - 1)] - l1;
-          int earliest = std::numeric_limits<int>::max();
-          const int row_lo = std::max(1, x - band);
-          const int row_hi = std::min(cols, x + band);
-          if (row_lo <= cols) {
-            if (lml_row != 0) {
-              earliest = lml_row;
-            } else if (danger_prefix[static_cast<size_t>(row_hi)] -
-                           danger_prefix[static_cast<size_t>(row_lo) - 1] >
-                       0) {
-              earliest = 0;
-            } else {
-              earliest = x - 1;
-            }
-          }
-          jump_suffix_min[static_cast<size_t>(x)] =
-              std::min(jump_suffix_min[static_cast<size_t>(x) + 1],
-                       earliest);
-        }
-        jumps_ready = true;
-      };
       // fd indices are offset: x = di - l1 + 1, y = dj - l2 + 1. The
       // boundary row/column only exist up to the band edge; past it they
       // are > tau by construction and fd_read substitutes cap.
@@ -170,19 +107,7 @@ typename Costs::Dist TREESIM_HOT BoundedImpl(const TedTree& t1,
             fd_at(0, y - 1),
             costs.Insert(t2.labels[static_cast<size_t>(l2 + y - 1)])));
       }
-      // streak_start: first row of the current run of all-cap rows, or -1.
-      // Once rows streak_start..x are all cap AND every remaining row both
-      // (a) jumps no earlier than streak_start and (b) starts past the
-      // boundary column (x >= band implies x' - band >= 1 for all later
-      // rows x'), each remaining cell's options — delete (previous row),
-      // insert (left neighbor: in-row cap or out-of-band), relabel
-      // (previous row), subtree (a capped or out-of-band fd row, plus a
-      // nonnegative td) — are all >= cap, so by induction every remaining
-      // cell would compute cap. Skipping them leaves exactly the values
-      // the invariant requires (td stays cap-initialized).
-      int streak_start = -1;
-      bool abandoned = false;
-      for (int x = 1; x <= rows && !abandoned; ++x) {
+      for (int x = 1; x <= rows; ++x) {
         const int y_lo = std::max(1, x - band);
         const int y_hi = std::min(cols, x + band);
         if (y_lo > cols) break;  // this and all later rows are out of band
@@ -190,9 +115,6 @@ typename Costs::Dist TREESIM_HOT BoundedImpl(const TedTree& t1,
         const LabelId a = t1.labels[static_cast<size_t>(di)];
         const int lml1 = t1.lml[static_cast<size_t>(di)];
         const Dist del_cost = costs.Delete(a);  // row-invariant
-        // A row is "capped" when every in-band cell it owns — including
-        // the boundary column while that is still in band — holds cap.
-        bool row_capped = x > band || fd_at(x, 0) >= cap;
         for (int y = y_lo; y <= y_hi; ++y) {
           const int dj = l2 + y - 1;
           const LabelId b = t2.labels[static_cast<size_t>(dj)];
@@ -227,23 +149,9 @@ typename Costs::Dist TREESIM_HOT BoundedImpl(const TedTree& t1,
             best = clamped(std::min({del, ins, sub}));
           }
           fd_at(x, y) = best;
-          if (best < cap) row_capped = false;
         }
         stats.cells_computed = CheckedAdd(
             stats.cells_computed, static_cast<int64_t>(y_hi - y_lo + 1));
-        if (row_capped) {
-          if (streak_start < 0) streak_start = x;
-          if (x >= band && x < rows) {
-            if (!jumps_ready) compute_jumps();
-            if (jump_suffix_min[static_cast<size_t>(x) + 1] >=
-                streak_start) {
-              ++stats.keyroot_pairs_exited;
-              abandoned = true;
-            }
-          }
-        } else {
-          streak_start = -1;
-        }
       }
     }
   }
@@ -272,13 +180,13 @@ void ChooseOrientation(const TedTree*& t1, const TedTree*& t2) {
 
 /// Whether a band of half-width `band` excludes at least half the cells of
 /// the (n1+1) x (n2+1) root forest matrix. The banded kernel pays for its
-/// band tests (three guarded reads per cell plus per-row exit bookkeeping)
-/// on every cell it does compute — measured ~1.7x per cell on the DBLP
-/// range workload — so it only wins when the band skips a comparable share
-/// of the plain kernel's work. Cells with x - y > band form a triangle of
-/// tri(n1 - band) cells (symmetrically for y - x); that count is exact for
-/// the root pair, which dominates the total cost, so it is the proxy used
-/// for the whole call.
+/// band tests (three guarded reads per cell) on every cell it does compute
+/// — measured ~1.7x per cell on the DBLP range workload, a figure taken
+/// while the kernel also did per-row early-exit bookkeeping — so it only
+/// wins when the band skips a comparable share of the plain kernel's work.
+/// Cells with x - y > band form a triangle of tri(n1 - band) cells
+/// (symmetrically for y - x); that count is exact for the root pair, which
+/// dominates the total cost, so it is the proxy used for the whole call.
 bool BandExcludesEnough(int n1, int n2, int band) {
   auto tri = [](int m) {
     return m > 0 ? static_cast<double>(m) * (m + 1) / 2.0 : 0.0;
@@ -292,8 +200,6 @@ void PublishStats(const BoundedStats& stats) {
   TREESIM_COUNTER_ADD("ted.bounded_cells_computed", stats.cells_computed);
   TREESIM_COUNTER_ADD("ted.bounded_cells_band_pruned",
                       stats.cells_total - stats.cells_computed);
-  TREESIM_COUNTER_ADD("ted.bounded_keyroot_early_exits",
-                      stats.keyroot_pairs_exited);
 }
 
 }  // namespace

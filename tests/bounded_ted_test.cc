@@ -1,9 +1,8 @@
 // Unit tests for the bounded-TED refine engine (ted/bounded_ted.h): the
 // exactness/clamp contract on random pairs, threshold edge cases, the
 // mirror view built for the RTED-style strategy choice, and — guarded by
-// TREESIM_METRICS — that the band pruning and the per-keyroot early exit
-// actually engage on the shapes they were designed for (both are easy to
-// make silently dead with a too-conservative soundness condition).
+// TREESIM_METRICS — that the band pruning engages on large problems and
+// prunes exactly the out-of-band cells.
 #include <limits>
 #include <memory>
 #include <vector>
@@ -224,31 +223,41 @@ TEST(BoundedTedTest, BandPruningEngagesOnLargeProblems) {
             delta.counter("ted.bounded_cells_computed"));
 }
 
-TEST(BoundedTedTest, KeyrootEarlyExitFiresOnDisjointStars) {
+TEST(BoundedTedTest, BandPrunesExactlyTheOutOfBandCells) {
   if (!kMetricsEnabled) GTEST_SKIP() << "TREESIM_METRICS=OFF";
-  // Two stars over disjoint label pools at a small threshold: after a few
-  // rows every in-band cell is saturated and no later row can jump back
-  // before the saturated streak, so the root keyroot pair must abandon.
-  // This is the regression test for the exit being silently dead (a
-  // too-conservative jump analysis makes the condition unsatisfiable).
+  // Two spines over disjoint label pools: one keyroot pair, and every
+  // in-band cell past the first rows saturates at tau + 1. The band is the
+  // only pruning, so the pruned count is exactly the cells with |x - y| >
+  // tau and every in-band cell is computed, saturated or not.
   auto labels = std::make_shared<LabelDictionary>();
   const std::vector<LabelId> pool = MakeLabelPool(labels, 4);
   const std::vector<LabelId> pool_a = {pool[0], pool[1]};
   const std::vector<LabelId> pool_b = {pool[2], pool[3]};
-  const Tree t1 = Star(20, pool_a, labels);
-  const Tree t2 = Star(20, pool_b, labels);
-  const int exact = TreeEditDistance(t1, t2);
-  ASSERT_GT(exact, 3);
+  const int n1 = 24;
+  const int n2 = 22;
+  const int tau = 2;
+  const Tree t1 = Spine(n1, pool_a, labels);
+  const Tree t2 = Spine(n2, pool_b, labels);
+  int64_t out_of_band = 0;
+  for (int x = 1; x <= n1; ++x) {
+    for (int y = 1; y <= n2; ++y) {
+      if (x - y > tau || y - x > tau) ++out_of_band;
+    }
+  }
   const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(BoundedTreeEditDistance(t1, t2, 2), 3);
+  EXPECT_EQ(BoundedTreeEditDistance(t1, t2, tau), tau + 1);
   const MetricsSnapshot delta =
       MetricsRegistry::Global().Snapshot().DiffSince(before);
-  EXPECT_GT(delta.counter("ted.bounded_keyroot_early_exits"), 0);
+  EXPECT_EQ(delta.counter("ted.bounded_calls"), 1);
+  EXPECT_EQ(delta.counter("ted.bounded_cells_band_pruned"), out_of_band);
+  EXPECT_EQ(delta.counter("ted.bounded_cells_computed"),
+            int64_t{n1} * n2 - out_of_band);
 }
 
-TEST(BoundedTedTest, EarlyExitNeverChangesAnswers) {
-  // Adversarial sweep for the exit's soundness condition: disjoint-label
-  // and shared-label shape pairs at every threshold around the distance.
+TEST(BoundedTedTest, ExactAtEveryTauOnAdversarialShapes) {
+  // Disjoint-label and shared-label shape pairs, where saturated rows and
+  // subtree jumps across the band edge are common, at every threshold up to
+  // the sum of the sizes.
   auto labels = std::make_shared<LabelDictionary>();
   const std::vector<LabelId> pool = MakeLabelPool(labels, 6);
   const std::vector<LabelId> half1 = {pool[0], pool[1], pool[2]};

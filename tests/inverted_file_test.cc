@@ -8,7 +8,6 @@
 
 #include "gtest/gtest.h"
 #include "test_util.h"
-#include "util/thread_pool.h"
 
 namespace treesim {
 namespace {
@@ -71,8 +70,8 @@ TEST(InvertedFileTest, PostingsMatchPaperInvertedFile) {
 
 TEST(InvertedFileTest, ProfilesMatchDirectExtraction) {
   // The profiles an index builds as trees are added must be exactly the
-  // profiles that direct per-tree extraction produces — through Add(), a
-  // pooled AddAll(), and at q = 3.
+  // profiles that direct per-tree extraction produces — through Add() per
+  // tree, through AddAll(), and at q = 3.
   auto dict = std::make_shared<LabelDictionary>();
   const std::vector<LabelId> pool = MakeLabelPool(dict, 4);
   Rng rng(311);
@@ -80,17 +79,15 @@ TEST(InvertedFileTest, ProfilesMatchDirectExtraction) {
   for (int i = 0; i < 30; ++i) {
     trees.push_back(RandomTree(rng.UniformInt(1, 40), pool, dict, rng));
   }
-  ThreadPool workers(4);
   for (const int q : {2, 3}) {
-    for (ThreadPool* build_pool : {static_cast<ThreadPool*>(nullptr),
-                                   &workers}) {
+    for (const bool whole_forest : {false, true}) {
       SCOPED_TRACE(::testing::Message()
-                   << "q=" << q << (build_pool ? " pooled" : " per tree"));
+                   << "q=" << q << (whole_forest ? " AddAll" : " per tree"));
       InvertedFileIndex index(q);
-      if (build_pool == nullptr) {
-        for (const Tree& t : trees) index.Add(t);
+      if (whole_forest) {
+        index.AddAll(trees);
       } else {
-        index.AddAll(trees, build_pool);
+        for (const Tree& t : trees) index.Add(t);
       }
       EXPECT_TRUE(index.ValidateInvariants().ok());
       const std::vector<BranchProfile>& profiles = index.profiles();

@@ -77,6 +77,14 @@ run_cli("cost=" cluster --data=${small} --k=3)
 run_cli_rejects(distance "--a=a{b}" "--b=a{c}" --q=1)
 run_cli_rejects(generate --kind=synthetic --count=-5 --out=${TMP}/never.trees)
 run_cli_rejects(generate --kind=synthetic --labels=0 --out=${TMP}/never.trees)
+# Real-valued flags: the generator's decay CHECK, its float-to-int draws,
+# and a parse failure must all be refused up front.
+foreach(bad --decay=2 --decay=nan --size=nan --size=1e300 --fanout=inf
+            --size=-5 --size=abc)
+  run_cli_rejects(generate --kind=synthetic ${bad} --out=${TMP}/never.trees)
+endforeach()
+run_cli("wrote" generate --kind=synthetic --count=5 --size=20 --fanout=3
+        --decay=0.1 --out=${TMP}/real_flags.trees)
 run_cli_rejects(stats --data=${data} --flight-recorder=-1)
 
 # Error paths exit non-zero.

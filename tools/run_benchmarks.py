@@ -58,7 +58,7 @@ SUITE = [
      ["--benchmark_filter=BM_ProfileConstruction/.*|BM_InvertedFileBuild/100",
       "--benchmark_min_time=0.05"], []),
     ("micro_distances",
-     ["--benchmark_filter=.*ZhangShasha/50$",
+     ["--benchmark_filter=.*ZhangShasha/50$|BoundedZhangShasha.*/50/",
       "--benchmark_min_time=0.05"], []),
 ]
 

@@ -178,6 +178,27 @@ StatusOr<T> IntFlag(const FlagParser& flags, const std::string& key, T def,
   return static_cast<T>(value);
 }
 
+/// `--key=X` as a real number in [lo, hi], or `def` when the flag is
+/// absent. Every real-valued flag is read through here, for the reason
+/// IntFlag exists: text that is not a number, NaN, an infinity or a value
+/// outside the flag's domain is an InvalidArgument, so it never reaches a
+/// library precondition or an undefined float-to-int conversion.
+StatusOr<double> RealFlag(const FlagParser& flags, const std::string& key,
+                          double def, double lo, double hi) {
+  if (!flags.Has(key)) return def;
+  const std::string text = flags.GetString(key, "");
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  // The range test is false for NaN and, with finite bounds, for +-inf.
+  if (text.empty() || *end != '\0' || !(value >= lo && value <= hi)) {
+    char domain[64];
+    std::snprintf(domain, sizeof(domain), "[%.17g, %.17g]", lo, hi);
+    return Status::InvalidArgument("--" + key + "=" + text +
+                                   " is not a number in " + domain);
+  }
+  return value;
+}
+
 /// Pool for `--threads=N` (0 = every hardware thread). Holds nullptr — the
 /// engines' sequential path — when one worker would be enough for `items`
 /// units of work.
@@ -205,11 +226,20 @@ int CmdGenerate(const FlagParser& flags) {
   if (kind == "synthetic") {
     const StatusOr<int> label_count = IntFlag(flags, "labels", 8, 1, kIntMax);
     if (!label_count.ok()) return Fail(label_count.status());
+    // The generator draws sizes and fanouts as ints clamped to these
+    // ranges (Rng::NormalInt), and decay is a probability.
+    constexpr double kMaxDraw = 1 << 20;
+    const StatusOr<double> size = RealFlag(flags, "size", 50, 1, kMaxDraw);
+    if (!size.ok()) return Fail(size.status());
+    const StatusOr<double> fanout = RealFlag(flags, "fanout", 4, 0, kMaxDraw);
+    if (!fanout.ok()) return Fail(fanout.status());
+    const StatusOr<double> decay = RealFlag(flags, "decay", 0.05, 0, 1);
+    if (!decay.ok()) return Fail(decay.status());
     SyntheticParams params;
-    params.size_mean = flags.GetDouble("size", 50);
-    params.fanout_mean = flags.GetDouble("fanout", 4);
+    params.size_mean = *size;
+    params.fanout_mean = *fanout;
     params.label_count = *label_count;
-    params.decay = flags.GetDouble("decay", 0.05);
+    params.decay = *decay;
     SyntheticGenerator gen(params, labels, static_cast<uint64_t>(*seed));
     forest = gen.GenerateDataset(*count);
     std::printf("generated %d trees (%s)\n", *count,
