@@ -14,12 +14,14 @@ namespace treesim {
 struct QueryStats {
   /// Database size the query ran against.
   int64_t database_size = 0;
-  /// Trees that survived the filter; each costs one exact TED computation.
+  /// Trees handed to exact verification: the filter's survivors for range
+  /// queries and joins, the trees the bound-ordered sweep verified before
+  /// its early break for k-NN. Always equal to edit_distance_calls.
   int64_t candidates = 0;
   /// Trees in the final result.
   int64_t results = 0;
-  /// Exact edit distance computations performed (== candidates for range
-  /// queries; <= candidates for k-NN thanks to the early-break).
+  /// Threshold-bounded edit distance computations, one per candidate
+  /// (range and join copy it from `candidates`, k-NN the other way).
   int64_t edit_distance_calls = 0;
   /// Wall-clock seconds spent computing lower bounds (filter step).
   double filter_seconds = 0.0;

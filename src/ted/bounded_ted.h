@@ -21,17 +21,17 @@ namespace treesim {
 /// can therefore keep their existing `d <= tau` / heap-insert logic and
 /// get byte-identical results to the unbounded path.
 ///
-/// Internally: Zhang–Shasha restricted to the |x - y| <= tau diagonal band
-/// of every keyroot-pair forest matrix (an out-of-band forest pair needs
-/// more than tau unmatched nodes), and an RTED-style strategy choice
-/// between the leftmost and the mirrored (rightmost) decomposition of the
-/// pair, whichever has the smaller keyroot-weight product. Every in-band
-/// cell is computed: the band is the only pruning (a per-keyroot-pair early
-/// exit skipped just 2-6% of the in-band cells, and its per-row bookkeeping
-/// cost about as much as it saved). When the band would exclude less than
-/// half of the root forest matrix (wide tau on small trees) the per-read
-/// band checks cost more than they save, so the call runs the plain kernel
-/// instead and clamps — the contract above is unchanged.
+/// Internally: the Zhang–Shasha recurrence of ted/zhang_shasha.cc over the
+/// |x - y| <= tau diagonal band of every keyroot-pair forest matrix (an
+/// out-of-band forest pair needs more than tau unmatched nodes), with an
+/// RTED-style choice between the leftmost and the mirrored (rightmost)
+/// decomposition, whichever has the smaller keyroot-weight product. The
+/// band only sets each row's column range: tau + 1 fills one sentinel cell
+/// on each side of it, only the subtree jump read tests it, and the result
+/// is clamped once. Every in-band cell is computed (DESIGN.md §16). When
+/// the band would exclude less than half of the root forest matrix (wide
+/// tau on small trees) the call runs the full-width recurrence and clamps
+/// instead — the contract above is unchanged.
 int BoundedTreeEditDistance(const TedTree& t1, const TedTree& t2, int tau);
 
 /// Convenience overload; builds both views (including mirrors) internally.
@@ -40,10 +40,10 @@ int BoundedTreeEditDistance(const Tree& t1, const Tree& t2, int tau);
 /// Threshold-bounded distance under an arbitrary cost model. Same contract
 /// as the unit-cost verifier: when the exact weighted distance is <= tau
 /// the returned value is bit-identical to TreeEditDistanceWeighted (same
-/// additions in the same order); otherwise the result is some value > tau
-/// (+infinity from the banded kernel, or the exact distance when the call
-/// delegates to the plain kernel because the band covers every diagonal or
-/// would prune too little to pay for itself).
+/// additions in the same order); otherwise the result is some value > tau:
+/// the banded recurrence's unclamped value, or the exact distance when the
+/// call runs the full-width one because the band covers every diagonal or
+/// would prune too little to pay for itself.
 /// Negative and NaN thresholds reject everything with +infinity. The band
 /// is scaled by costs.MinOperationCost(), which must be positive.
 double BoundedTreeEditDistanceWeighted(const TedTree& t1, const TedTree& t2,

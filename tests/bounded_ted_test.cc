@@ -64,6 +64,14 @@ Tree LeftComb(int teeth, const std::vector<LabelId>& pool,
   return std::move(builder).Build();
 }
 
+/// Indels cost 1.5 and relabels 1 (c_min = 1): the band is as wide as
+/// under unit costs while the distances it must reproduce are weighted.
+class IndelHeavyCosts final : public CostModel {
+ public:
+  double Insert(LabelId /*label*/) const override { return 1.5; }
+  double Delete(LabelId /*label*/) const override { return 1.5; }
+};
+
 TEST(BoundedTedTest, ExactWithinThresholdOnRandomPairs) {
   auto labels = std::make_shared<LabelDictionary>();
   const std::vector<LabelId> pool = MakeLabelPool(labels, 4);
@@ -257,7 +265,10 @@ TEST(BoundedTedTest, BandPrunesExactlyTheOutOfBandCells) {
 TEST(BoundedTedTest, ExactAtEveryTauOnAdversarialShapes) {
   // Disjoint-label and shared-label shape pairs, where saturated rows and
   // subtree jumps across the band edge are common, at every threshold up to
-  // the sum of the sizes.
+  // the sum of the sizes. The weighted verifier runs the same sweep in half
+  // steps up to c_min * (n1 + n2), where its band stops pruning: it must
+  // match the unbounded kernel bit for bit once tau reaches the distance
+  // and return some value > tau below it.
   auto labels = std::make_shared<LabelDictionary>();
   const std::vector<LabelId> pool = MakeLabelPool(labels, 6);
   const std::vector<LabelId> half1 = {pool[0], pool[1], pool[2]};
@@ -268,6 +279,7 @@ TEST(BoundedTedTest, ExactAtEveryTauOnAdversarialShapes) {
     shapes.push_back(Star(13, *p, labels));
     shapes.push_back(LeftComb(6, *p, labels));
   }
+  const IndelHeavyCosts costs;
   for (const Tree& t1 : shapes) {
     for (const Tree& t2 : shapes) {
       const int exact = TreeEditDistance(t1, t2);
@@ -276,6 +288,19 @@ TEST(BoundedTedTest, ExactAtEveryTauOnAdversarialShapes) {
         const int expected = tau < exact ? tau + 1 : exact;
         ASSERT_EQ(BoundedTreeEditDistance(t1, t2, tau), expected)
             << "tau=" << tau << " EDist=" << exact;
+      }
+      const TedTree v1 = TedTree::FromTree(t1);
+      const TedTree v2 = TedTree::FromTree(t2);
+      const double wexact = TreeEditDistanceWeighted(v1, v2, costs);
+      const double wtau_max = costs.MinOperationCost() * tau_max;
+      for (int half_steps = 0; 0.5 * half_steps <= wtau_max; ++half_steps) {
+        const double tau = 0.5 * half_steps;
+        const double got = BoundedTreeEditDistanceWeighted(v1, v2, tau, costs);
+        if (tau >= wexact) {
+          ASSERT_EQ(got, wexact) << "tau=" << tau << " EDist=" << wexact;
+        } else {
+          ASSERT_GT(got, tau) << "tau=" << tau << " EDist=" << wexact;
+        }
       }
     }
   }

@@ -290,8 +290,8 @@ TEST_F(MetamorphicTest, BoundedWeightedMatchesUnboundedBitwise) {
   // exact distance BIT-identically (EXPECT_EQ on doubles, deliberately):
   // the rewired weighted search paths promise byte-identical results, which
   // only holds if no floating-point addition is reordered. Below the exact
-  // distance the answer is +infinity; negative and NaN thresholds reject
-  // everything.
+  // distance the answer is some value > tau; negative and NaN thresholds
+  // reject everything with +infinity.
   const SkewedCosts costs;
   const double inf = std::numeric_limits<double>::infinity();
   for (int i = 0; i < kPairs / 2; ++i) {
@@ -305,8 +305,9 @@ TEST_F(MetamorphicTest, BoundedWeightedMatchesUnboundedBitwise) {
     if (exact > 0.0) {
       // Costs are multiples of 0.5 (exactly representable), so exact - 0.125
       // is a threshold strictly below the distance. The rejection value is
-      // +infinity from the banded kernel but the exact distance when the
-      // band covers everything and the call delegates — either way > tau.
+      // the unclamped banded recurrence's, which every +infinity
+      // out-of-band read keeps >= the distance, or the exact distance when
+      // the call delegates to the full-width one — either way > tau.
       EXPECT_GT(BoundedTreeEditDistanceWeighted(v1, v2, exact - 0.125, costs),
                 exact - 0.125);
     }
