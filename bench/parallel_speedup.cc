@@ -6,8 +6,9 @@
 // small corpora).
 //
 // Expected shape: pairwise speedup approaches the worker count (rows are
-// embarrassingly parallel); batch k-NN scales sublinearly (it keeps a
-// sequential query-preparation phase).
+// embarrassingly parallel); batch k-NN runs its queries in parallel, each
+// one sequential k-NN sweep, so it scales with the batch until uneven
+// per-query costs leave workers idle at the end.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>

@@ -13,6 +13,12 @@
 //     loop, so a corpus minimized against one kernel cannot mask the
 //     other).
 //
+// An input the harness rejects before the kernel (too short or long, no
+// newline, a tree that does not parse or has more than kMaxNodes nodes)
+// returns -1, libFuzzer's "do not add to the corpus"; the standalone replay
+// fails on such a corpus file, so a seed that never reaches the kernel
+// cannot pass as checked.
+//
 // Built with -fsanitize=fuzzer under clang; with other toolchains the
 // standalone driver in standalone_main.cc replays corpus files through the
 // same entry point (see fuzz/CMakeLists.txt).
@@ -47,23 +53,23 @@ constexpr size_t kMaxInputBytes = 1 << 12;
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  if (size < 2 || size > kMaxInputBytes) return 0;
+  if (size < 2 || size > kMaxInputBytes) return -1;
   const uint8_t tau_byte = data[0];
   const std::string_view rest(reinterpret_cast<const char*>(data + 1),
                               size - 1);
   const size_t split = rest.find('\n');
-  if (split == std::string_view::npos) return 0;
+  if (split == std::string_view::npos) return -1;
 
   const auto labels = std::make_shared<treesim::LabelDictionary>();
   treesim::StatusOr<treesim::Tree> parsed1 =
       treesim::ParseBracket(rest.substr(0, split), labels);
-  if (!parsed1.ok()) return 0;
+  if (!parsed1.ok()) return -1;
   treesim::StatusOr<treesim::Tree> parsed2 =
       treesim::ParseBracket(rest.substr(split + 1), labels);
-  if (!parsed2.ok()) return 0;
+  if (!parsed2.ok()) return -1;
   const treesim::Tree& t1 = parsed1.value();
   const treesim::Tree& t2 = parsed2.value();
-  if (t1.size() > kMaxNodes || t2.size() > kMaxNodes) return 0;
+  if (t1.size() > kMaxNodes || t2.size() > kMaxNodes) return -1;
 
   const treesim::TedTree v1 = treesim::TedTree::FromTree(t1);
   const treesim::TedTree v2 = treesim::TedTree::FromTree(t2);

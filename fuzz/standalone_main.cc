@@ -2,8 +2,10 @@
 // files or directories of files through LLVMFuzzerTestOneInput, one process
 // for the whole set. Used by the fuzz smoke tests in ctest so the harness
 // contracts are exercised on every corpus seed even where coverage-guided
-// fuzzing is unavailable. With clang, fuzz/CMakeLists.txt links
-// -fsanitize=fuzzer instead and this file is not compiled.
+// fuzzing is unavailable. An input the harness rejects (returns -1,
+// libFuzzer's "do not add to the corpus") is a dead seed: the replay names
+// it and exits 1. With clang, fuzz/CMakeLists.txt links -fsanitize=fuzzer
+// instead and this file is not compiled.
 
 #include <cstdint>
 #include <cstdio>
@@ -16,17 +18,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
 
 namespace {
 
-int ReplayFile(const std::string& path) {
+/// Replays one file; false when it cannot be read. Counts a file the
+/// harness rejects in `rejected`.
+bool ReplayFile(const std::string& path, int& rejected) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return 1;
+    return false;
   }
   const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                                 std::istreambuf_iterator<char>());
-  LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(bytes.data()),
-                         bytes.size());
-  return 0;
+  if (LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(bytes.data()),
+                             bytes.size()) == -1) {
+    std::fprintf(stderr, "rejected by the harness: %s\n", path.c_str());
+    ++rejected;
+  }
+  return true;
 }
 
 }  // namespace
@@ -37,6 +44,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   int replayed = 0;
+  int rejected = 0;
   for (int i = 1; i < argc; ++i) {
     const std::filesystem::path p(argv[i]);
     // libFuzzer flags (e.g. -runs=0 from a shared ctest invocation) are
@@ -45,13 +53,18 @@ int main(int argc, char** argv) {
     if (std::filesystem::is_directory(p)) {
       for (const auto& entry : std::filesystem::directory_iterator(p)) {
         if (!entry.is_regular_file()) continue;
-        if (ReplayFile(entry.path().string()) != 0) return 1;
+        if (!ReplayFile(entry.path().string(), rejected)) return 1;
         ++replayed;
       }
     } else {
-      if (ReplayFile(p.string()) != 0) return 1;
+      if (!ReplayFile(p.string(), rejected)) return 1;
       ++replayed;
     }
+  }
+  if (rejected > 0) {
+    std::fprintf(stderr, "replayed %d corpus input(s), %d rejected\n",
+                 replayed, rejected);
+    return 1;
   }
   std::fprintf(stderr, "replayed %d corpus input(s), no failures\n",
                replayed);

@@ -30,6 +30,7 @@ BranchId BranchDictionary::Intern(const BranchKey& key) {
   TREESIM_CHECK_EQ(static_cast<int>(key.size()), key_length_);
   auto it = ids_.find(key);
   if (it != ids_.end()) return it->second;
+  TREESIM_CHECK_LT(keys_.size(), size_t{kUnseenBranch});
   const BranchId id = static_cast<BranchId>(keys_.size());
   keys_.push_back(key);
   ids_.emplace(key, id);
@@ -90,24 +91,41 @@ void FillBranchKey(const Tree& t, NodeId root, int q, BranchKey& key) {
   fill(fill, root, 0);
 }
 
-}  // namespace
-
-std::vector<BranchOccurrence> ExtractBranches(const Tree& t,
-                                              BranchDictionary& dict) {
+/// The one key walk of ExtractBranches and LookupBranches: the branch of
+/// every node of `t` in preorder with its positions; `to_id` turns each key
+/// into its BranchId.
+template <typename ToId>
+std::vector<BranchOccurrence> WalkBranches(const Tree& t,
+                                           const BranchDictionary& dict,
+                                           ToId to_id) {
   TREESIM_CHECK(!t.empty());
-  const int q = dict.q();
   const TraversalPositions positions = ComputePositions(t);
-
   BranchKey key(static_cast<size_t>(dict.key_length()), kEpsilonLabel);
   std::vector<BranchOccurrence> out;
   out.reserve(static_cast<size_t>(t.size()));
   for (const NodeId u : PreorderSequence(t)) {
-    FillBranchKey(t, u, q, key);
+    FillBranchKey(t, u, dict.q(), key);
     out.push_back(BranchOccurrence{
-        dict.Intern(key), positions.pre[static_cast<size_t>(u)],
+        to_id(key), positions.pre[static_cast<size_t>(u)],
         positions.post[static_cast<size_t>(u)]});
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<BranchOccurrence> ExtractBranches(const Tree& t,
+                                              BranchDictionary& dict) {
+  return WalkBranches(t, dict, [&dict](const BranchKey& key) {
+    return dict.Intern(key);
+  });
+}
+
+std::vector<BranchOccurrence> LookupBranches(const Tree& t,
+                                             const BranchDictionary& dict) {
+  return WalkBranches(t, dict, [&dict](const BranchKey& key) {
+    return dict.Lookup(key).value_or(kUnseenBranch);
+  });
 }
 
 }  // namespace treesim

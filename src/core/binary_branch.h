@@ -2,6 +2,7 @@
 #define TREESIM_CORE_BINARY_BRANCH_H_
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -16,6 +17,11 @@ namespace treesim {
 /// branch alphabet Γ of Definition 3 / Definition 5.
 using BranchId = uint32_t;
 
+/// The id LookupBranches gives a key its dictionary never interned. Intern()
+/// never hands it out, so it matches no database branch and counts fully in
+/// BDist and PosBDist, as a freshly interned id would.
+inline constexpr BranchId kUnseenBranch = std::numeric_limits<BranchId>::max();
+
 /// A branch key: the preorder label sequence of the perfect binary subtree
 /// of height q-1 rooted at a node of the normalized B(T) (Definition 5),
 /// ε-padded where B(T) has no node. Length is 2^q - 1; for the two-level
@@ -24,7 +30,8 @@ using BranchKey = std::vector<LabelId>;
 
 /// Interns branch keys of one fixed level q into dense BranchIds. One
 /// dictionary is shared by a dataset and all queries against it (the
-/// vocabulary of the inverted file of Fig. 3a). Not thread-safe.
+/// vocabulary of the inverted file of Fig. 3a). Intern() is not
+/// thread-safe; the const members are, once interning has stopped.
 class BranchDictionary {
  public:
   /// `q` >= 2 (q = 1 records no structure; see Section 3.4).
@@ -87,6 +94,12 @@ struct BranchOccurrence {
 /// directly — B(T) is never materialized. Result is in preorder of T.
 std::vector<BranchOccurrence> ExtractBranches(const Tree& t,
                                               BranchDictionary& dict);
+
+/// The same walk against a frozen `dict`, which it only reads: a key `dict`
+/// has not interned becomes kUnseenBranch. Query profiles use this, so
+/// queries never grow the dictionary.
+std::vector<BranchOccurrence> LookupBranches(const Tree& t,
+                                             const BranchDictionary& dict);
 
 }  // namespace treesim
 

@@ -23,6 +23,11 @@ BranchProfile BranchProfile::FromTree(const Tree& t, BranchDictionary& dict) {
   return FromOccurrences(t.size(), dict, std::move(occurrences));
 }
 
+BranchProfile BranchProfile::FromQuery(const Tree& t,
+                                       const BranchDictionary& dict) {
+  return FromOccurrences(t.size(), dict, LookupBranches(t, dict));
+}
+
 BranchProfile BranchProfile::FromOccurrences(
     int tree_size, const BranchDictionary& dict,
     std::vector<BranchOccurrence> occurrences) {

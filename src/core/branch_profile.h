@@ -46,6 +46,12 @@ struct BranchProfile {
   /// O(|T| * 2^q + |T| log |T|).
   static BranchProfile FromTree(const Tree& t, BranchDictionary& dict);
 
+  /// Builds a query profile from a frozen `dict`, which it only reads
+  /// (LookupBranches): unseen branches share one kUnseenBranch entry. Meant
+  /// to be compared only against profiles of trees `dict` interned; between
+  /// two such profiles unseen branches merge, which can only lower a bound.
+  static BranchProfile FromQuery(const Tree& t, const BranchDictionary& dict);
+
   /// Builds the profile of a tree of `tree_size` nodes from its branch
   /// occurrences (any order), as extracted against `dict`: sorts them by
   /// (branch, preorder) and run-length encodes them. The one builder of

@@ -47,9 +47,9 @@ class InvertedFileIndex {
   /// Number of indexed trees.
   int tree_count() const { return static_cast<int>(profiles_.size()); }
 
-  /// The branch vocabulary (shared with query profile extraction so ids
-  /// agree between database and query vectors).
-  BranchDictionary& branch_dict() { return dict_; }
+  /// The branch vocabulary. Query profiles only look keys up in it
+  /// (BranchProfile::FromQuery), so ids agree with the database vectors and
+  /// queries never grow it.
   const BranchDictionary& branch_dict() const { return dict_; }
 
   /// Inverted list of one branch, ordered by tree id.

@@ -42,9 +42,9 @@ void BiBranchFilter::Build(const std::vector<Tree>& trees) {
 }
 
 std::unique_ptr<FilterQueryContext> TREESIM_HOT BiBranchFilter::PrepareQuery(
-    const Tree& query) {
+    const Tree& query) const {
   return std::make_unique<BiBranchQueryContext>(
-      BranchProfile::FromTree(query, index_.branch_dict()));
+      BranchProfile::FromQuery(query, index_.branch_dict()));
 }
 
 double TREESIM_HOT BiBranchFilter::LowerBound(const FilterQueryContext& ctx,

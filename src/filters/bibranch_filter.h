@@ -40,7 +40,8 @@ class BiBranchFilter final : public FilterIndex {
 
   std::string name() const override;
   void Build(const std::vector<Tree>& trees) override;
-  std::unique_ptr<FilterQueryContext> PrepareQuery(const Tree& query) override;
+  std::unique_ptr<FilterQueryContext> PrepareQuery(
+      const Tree& query) const override;
   double LowerBound(const FilterQueryContext& ctx, int tree_id) const override;
   bool MayQualify(const FilterQueryContext& ctx, int tree_id,
                   double tau) const override;

@@ -28,6 +28,10 @@ class FilterQueryContext {
 /// stays sufficient — every surviving candidate is verified exactly within
 /// the threshold — but an UNSOUND bound would now fail in two places
 /// instead of one (wrongly pruned AND wrongly clamped).
+///
+/// Build() is the one writer. Every query member is const and only reads
+/// the built index, so queries never change it and any number of threads
+/// may query one filter at once.
 class FilterIndex {
  public:
   virtual ~FilterIndex() = default;
@@ -38,9 +42,9 @@ class FilterIndex {
   /// Indexes the database. Called once, before any query.
   virtual void Build(const std::vector<Tree>& trees) = 0;
 
-  /// Derives the per-query state. Non-const: filters may extend shared
-  /// dictionaries with branches/labels first seen in the query.
-  virtual std::unique_ptr<FilterQueryContext> PrepareQuery(const Tree& query) = 0;
+  /// Derives the per-query state.
+  virtual std::unique_ptr<FilterQueryContext> PrepareQuery(
+      const Tree& query) const = 0;
 
   /// A lower bound of EDist(query, tree `tree_id`).
   virtual double LowerBound(const FilterQueryContext& ctx, int tree_id) const = 0;

@@ -114,7 +114,7 @@ void HistogramFilter::Build(const std::vector<Tree>& trees) {
 }
 
 std::unique_ptr<FilterQueryContext> TREESIM_HOT HistogramFilter::PrepareQuery(
-    const Tree& query) {
+    const Tree& query) const {
   return std::make_unique<HistogramQueryContext>(ExtractFeatures(query));
 }
 

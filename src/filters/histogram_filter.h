@@ -47,7 +47,8 @@ class HistogramFilter final : public FilterIndex {
 
   std::string name() const override { return "Histo"; }
   void Build(const std::vector<Tree>& trees) override;
-  std::unique_ptr<FilterQueryContext> PrepareQuery(const Tree& query) override;
+  std::unique_ptr<FilterQueryContext> PrepareQuery(
+      const Tree& query) const override;
   double LowerBound(const FilterQueryContext& ctx, int tree_id) const override;
 
   /// Per-tree feature vector (exposed for tests and Fig. 15).

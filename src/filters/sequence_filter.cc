@@ -60,7 +60,7 @@ void SequenceFilter::Build(const std::vector<Tree>& trees) {
 }
 
 std::unique_ptr<FilterQueryContext> TREESIM_HOT SequenceFilter::PrepareQuery(
-    const Tree& query) {
+    const Tree& query) const {
   return std::make_unique<SequenceQueryContext>(Extract(query));
 }
 

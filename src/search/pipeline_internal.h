@@ -19,16 +19,18 @@
 #include "util/metrics.h"
 #include "util/query_context.h"
 #include "util/safe_math.h"
+#include "util/stopwatch.h"
 #include "util/structured_log.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
 /// The one filter-and-refine pipeline (Section 4: Algorithm 2 and its range
 /// variant) under all six SimilaritySearch / SimilarityJoin entry points:
-/// Engine::Candidates filters, Engine::Refine verifies into slots, RunKnn
-/// (similarity_search.cc) is the Algorithm-2 sweep, and QueryScope::Finish
-/// feeds every sink from one FlightRecord. The distance-typed pieces are
-/// templated on a cost policy, so unit and weighted queries cannot drift.
+/// Engine::Probe is the range step (filter, then Engine::Refine into
+/// slots), RunKnn (similarity_search.cc) is the Algorithm-2 sweep, and
+/// QueryScope::Finish feeds every sink from one FlightRecord. The
+/// distance-typed pieces are templated on a cost policy, so unit and
+/// weighted queries cannot drift.
 namespace treesim::pipeline {
 
 /// Unit costs: integer distances, verified by BoundedTreeEditDistance, with
@@ -113,8 +115,12 @@ class QueryScope {
  public:
   /// `queries` is what the op's query counter counts (a batch's size).
   explicit QueryScope(const Op& op, int64_t queries = 1)
+      : QueryScope(op, QueryContext{AllocateQueryId(), op.tag}, queries) {}
+
+  /// Adopts `context`, whose id the caller allocated (a batch member).
+  QueryScope(const Op& op, const QueryContext& context, int64_t queries = 1)
       : op_(op),
-        context_(op.tag),
+        context_(context),
         span_(op.span),
         cells_before_(op.bounded_cells == nullptr ? 0
                                                   : op.bounded_cells->value()) {
@@ -193,19 +199,54 @@ class QueryScope {
 
 /// The database probed and its filter (null means the sequential scan).
 struct Engine {
+  /// `indexed` is db.size() when the filter was built; a tree added since
+  /// would send the filter past its arrays.
+  Engine(const TreeDatabase& db, const FilterIndex* filter, int indexed)
+      : db(db), filter(filter) {
+    TREESIM_CHECK_EQ(db.size(), indexed) << "database grew after indexing";
+  }
+
   const TreeDatabase& db;
-  FilterIndex* filter;
+  const FilterIndex* filter;
 
   /// The query's filter state; null without a filter.
   std::unique_ptr<FilterQueryContext> Prepare(const Tree& query) const {
     return filter == nullptr ? nullptr : filter->PrepareQuery(query);
   }
 
-  /// Ascending range candidates among ids [first, db.size()) at `unit_tau`
-  /// unit operations: all ids without a filter, else its MayQualify scan.
-  /// `first` lets a self join probe each pair once.
-  std::vector<int> Candidates(const FilterQueryContext* ctx, double unit_tau,
-                              int first) const;
+  /// One range probe (Section 4's range variant) of `query`, with `view` as
+  /// its TED view: candidates among ids [first, db.size()) at tau / scale
+  /// unit operations (the most a tree within tau can need; every id without
+  /// a filter), then Refine. Fills `stats` but for results.
+  template <typename Costs>
+  std::vector<std::pair<int, typename Costs::Distance>> Probe(
+      const Op& op, const Costs& costs, const Tree& query, const TedTree& view,
+      typename Costs::Distance tau, int first, ThreadPool* pool,
+      QueryStats& stats) const {
+    const double unit_tau = tau / costs.scale;
+    std::unique_ptr<FilterQueryContext> ctx;  // outlives Refine's DCHECK
+    std::vector<int> candidates;
+    Stopwatch filter_timer;
+    {
+      const TraceSpan span(op.filter_span);
+      ctx = Prepare(query);
+      candidates.reserve(static_cast<size_t>(db.size() - first));
+      for (int id = first; id < db.size(); ++id) {
+        if (filter == nullptr || filter->MayQualify(*ctx, id, unit_tau)) {
+          candidates.push_back(id);
+        }
+      }
+    }
+    stats.filter_seconds = filter_timer.ElapsedSeconds();
+    stats.database_size = db.size() - first;
+    stats.candidates = static_cast<int64_t>(candidates.size());
+    stats.edit_distance_calls = stats.candidates;
+    Stopwatch refine_timer;
+    const TraceSpan span(op.refine_span);
+    auto matches = Refine(costs, ctx.get(), view, candidates, tau, pool);
+    stats.refine_seconds = refine_timer.ElapsedSeconds();
+    return matches;
+  }
 
   /// Verifies each candidate at `tau` into its own slot (views are immutable
   /// and the kernel pure, so any pool size gives the sequential answer) and

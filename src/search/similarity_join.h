@@ -29,10 +29,14 @@ struct JoinResult {
 /// threshold-bounded distance (ted/bounded_ted.h) at the join's tau —
 /// exact for every emitted pair, and provably "> tau" for every rejected
 /// one, so the output is byte-identical to an unbounded refine.
+///
+/// Joins are const and only read both sides and the built filter, so any
+/// number of threads may join against one SimilarityJoin at once.
 class SimilarityJoin {
  public:
   /// Builds `filter` over `right` (nullptr = no filtering). Both databases
-  /// must outlive this object and share a label dictionary.
+  /// must outlive this object and share a label dictionary; `right` must
+  /// not grow after it is built, which every join checks.
   SimilarityJoin(const TreeDatabase* right,
                  std::unique_ptr<FilterIndex> filter);
 
@@ -40,26 +44,26 @@ class SimilarityJoin {
   SimilarityJoin& operator=(const SimilarityJoin&) = delete;
 
   /// All (l, r) with EDist(left[l], right[r]) <= tau. One path at every
-  /// thread count: query preparation of every left tree runs sequentially
-  /// (filters may extend shared dictionaries), then each left tree's probe
-  /// + refinement runs into a per-left result slot, over the pool's workers
-  /// when given one and inline otherwise; slots merge in left-id order, so
-  /// `pairs` and every stat except the timings are identical for any pool
-  /// size. filter_seconds is the preparation; the probe is timed with the
-  /// refinement in refine_seconds.
+  /// thread count: each left tree prepares, probes and refines into its own
+  /// result slot, over the pool's workers when given one and inline
+  /// otherwise; slots merge in left-id order, so `pairs` and every stat
+  /// except the timings are identical for any pool size. filter_seconds
+  /// (preparation and probe) and refine_seconds sum over the left trees, so
+  /// with a pool they add up worker time.
   JoinResult Join(const TreeDatabase& left, int tau,
-                  ThreadPool* pool = nullptr);
+                  ThreadPool* pool = nullptr) const;
 
   /// Self join of the right-side database: all unordered pairs l < r within
   /// tau (each pair probed once). Same parallel contract as Join().
-  JoinResult SelfJoin(int tau, ThreadPool* pool = nullptr);
+  JoinResult SelfJoin(int tau, ThreadPool* pool = nullptr) const;
 
  private:
   JoinResult JoinImpl(const TreeDatabase& left, int tau, bool self,
-                      ThreadPool* pool);
+                      ThreadPool* pool) const;
 
   const TreeDatabase* right_;
   std::unique_ptr<FilterIndex> filter_;
+  int indexed_size_ = 0;  ///< right_->size() when filter_ was built
 };
 
 }  // namespace treesim

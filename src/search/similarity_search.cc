@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <queue>
 #include <string>
 #include <tuple>
@@ -11,6 +10,7 @@
 #include "search/pipeline_internal.h"
 #include "util/logging.h"
 #include "util/metrics.h"
+#include "util/query_context.h"
 #include "util/safe_math.h"
 #include "util/stopwatch.h"
 #include "util/structured_log.h"
@@ -61,49 +61,18 @@ Op::Op(OpKind kind, const char* tag, const char* span, const char* filter_span,
   }
 }
 
-std::vector<int> Engine::Candidates(const FilterQueryContext* ctx,
-                                    double unit_tau, int first) const {
-  std::vector<int> ids;
-  ids.reserve(static_cast<size_t>(db.size() - first));
-  for (int id = first; id < db.size(); ++id) {
-    if (filter == nullptr || filter->MayQualify(*ctx, id, unit_tau)) {
-      ids.push_back(id);
-    }
-  }
-  return ids;
-}
-
 namespace {
 
-/// The range query under either cost policy. The filter runs at tau / scale
-/// unit operations, the most a tree within distance tau can need; its
-/// context outlives the step for the debug soundness check in Refine.
+/// The range query under either cost policy: one probe from id 0, its
+/// matches ordered by (distance, id).
 template <typename Result, typename Costs>
 Result RunRange(const Engine& engine, const Op& op, const Costs& costs,
                 const Tree& query, typename Costs::Distance tau,
                 ThreadPool* pool) {
   const QueryScope scope(op);
   Result result;
-  result.stats.database_size = engine.db.size();
-  std::unique_ptr<FilterQueryContext> ctx;
-  std::vector<int> candidates;
-  Stopwatch filter_timer;
-  {
-    const TraceSpan span(op.filter_span);
-    ctx = engine.Prepare(query);
-    candidates = engine.Candidates(ctx.get(), tau / costs.scale, 0);
-  }
-  result.stats.filter_seconds = filter_timer.ElapsedSeconds();
-  result.stats.candidates = static_cast<int64_t>(candidates.size());
-
-  Stopwatch refine_timer;
-  {
-    const TraceSpan span(op.refine_span);
-    result.matches = engine.Refine(costs, ctx.get(), TedTree::FromTree(query),
-                                   candidates, tau, pool);
-  }
-  result.stats.edit_distance_calls = result.stats.candidates;
-  result.stats.refine_seconds = refine_timer.ElapsedSeconds();
+  result.matches = engine.Probe(op, costs, query, TedTree::FromTree(query),
+                                tau, /*first=*/0, pool, result.stats);
   std::sort(result.matches.begin(), result.matches.end(),
             [](const auto& a, const auto& b) {
               return std::tie(a.second, a.first) < std::tie(b.second, b.first);
@@ -113,19 +82,20 @@ Result RunRange(const Engine& engine, const Op& op, const Costs& costs,
   return result;
 }
 
-/// Algorithm 2 (optimal multi-step k-NN) under either cost policy.
+/// Algorithm 2 (optimal multi-step k-NN) under either cost policy, as the
+/// query `query_id`, which the caller allocated on its own thread.
 template <typename Result, typename Costs>
 Result RunKnn(const Engine& engine, const Op& op, const Costs& costs,
-              const Tree& query, int k, ThreadPool* pool) {
+              const Tree& query, int k, ThreadPool* pool, int64_t query_id) {
   using Distance = typename Costs::Distance;
-  const QueryScope scope(op);
+  TREESIM_CHECK_GT(k, 0);
+  const QueryScope scope(op, QueryContext{query_id, op.tag});
   Result result;
   const int n = engine.db.size();
   result.stats.database_size = n;
 
   // Step 1: a lower bound for every tree (lines 1-3), in the cost model's
-  // units. PrepareQuery may extend shared dictionaries, so only the per-tree
-  // bounds, pure reads, fan out.
+  // units; the per-tree bounds are pure reads, so they fan out.
   Stopwatch filter_timer;
   std::vector<std::pair<double, int>> ranked(static_cast<size_t>(n));
   for (int id = 0; id < n; ++id) ranked[static_cast<size_t>(id)] = {0.0, id};
@@ -142,63 +112,38 @@ Result RunKnn(const Engine& engine, const Op& op, const Costs& costs,
   }
   result.stats.filter_seconds = filter_timer.ElapsedSeconds();
 
-  // Step 3: the pruning sweep (lines 5-15) over bound-ascending blocks and a
-  // max-heap of the k best (distance, id). A block verifies into slots at
-  // `kth`, the k-th best at block start (kUnbounded while the heap fills),
-  // then merges in order. Trees with bound > kth are skipped, and the sweep
-  // stops at a block that starts with one: exact >= bound > kth >= the final
-  // k-th best. A stale kth only errs larger, so neighbors verify exactly and
-  // a clamped d (> kth >= every later top) loses the merge as its full
-  // distance would. Without a pool a block is one tree (the sequential
-  // sweep); with one, only the verification count may grow.
+  // Step 3: the pruning sweep (lines 5-15) in bound order, with a max-heap
+  // of the k best (distance, id). Each tree verifies at `kth`, the k-th best
+  // so far (kUnbounded while the heap fills), and the sweep stops at the
+  // first bound above it: exact >= bound > kth >= the final k-th best. A
+  // clamped d (> kth) loses the heap test as its full distance would.
   Stopwatch refine_timer;
   std::priority_queue<std::pair<Distance, int>> heap;
   double gap_sum = 0.0;  // sum of (exact - bound): pruning power, Section 5
   {
     const TraceSpan span(op.refine_span);
     const TedTree query_view = TedTree::FromTree(query);
-    ThreadPool* const fan =
-        pool != nullptr && pool->size() > 1 ? pool : nullptr;
-    const int64_t block =
-        fan == nullptr ? 1 : std::max<int64_t>(k, 8 * int64_t{fan->size()});
-    constexpr Distance kSkipped = -1;
-    std::vector<Distance> slots(
-        static_cast<size_t>(std::min<int64_t>(block, n)));
-    int64_t start = 0;
-    Distance kth = Costs::kUnbounded;
-    const std::function<void(int64_t)> verify = [&](int64_t i) {
-      const auto& [bound, id] = ranked[static_cast<size_t>(start + i)];
-      slots[static_cast<size_t>(i)] =
-          bound > kth ? kSkipped
-                      : costs.Verify(query_view, engine.db.ted_view(id), kth);
-    };
-    for (; start < n; start += block) {
-      kth = static_cast<int>(heap.size()) == k ? heap.top().first
-                                               : Costs::kUnbounded;
-      if (ranked[static_cast<size_t>(start)].first > kth) break;
-      const int64_t end = std::min<int64_t>(start + block, n);
-      ParallelFor(fan, end - start, verify);
-      for (int64_t i = 0; i < end - start; ++i) {
-        const Distance d = slots[static_cast<size_t>(i)];
-        if (d == kSkipped) continue;
-        const auto& [bound, id] = ranked[static_cast<size_t>(start + i)];
-        ++result.stats.edit_distance_calls;
-        // A bound above the distance would let the break drop neighbors.
-        TREESIM_DCHECK_LE(bound, static_cast<double>(d) + 1e-9)
-            << "unsound lower bound on tree " << id;
-        // A clamped distance counts as kth + 1, the unit verifier's clamp.
-        const double gap = std::fmin(static_cast<double>(d), kth + 1.0) -
-                           std::trunc(bound);
-        gap_sum = CheckedAddAny(gap_sum, gap);
-        if (op.bound_gap != nullptr) {
-          op.bound_gap->Record(SaturatingFloor<int64_t>(gap, 0));
-        }
-        if (static_cast<int>(heap.size()) < k) {
-          heap.emplace(d, id);
-        } else if (std::make_pair(d, id) < heap.top()) {
-          heap.pop();
-          heap.emplace(d, id);
-        }
+    for (const auto& [bound, id] : ranked) {
+      const bool full = static_cast<int>(heap.size()) == k;
+      const Distance kth = full ? heap.top().first : Costs::kUnbounded;
+      if (bound > kth) break;
+      const Distance d = costs.Verify(query_view, engine.db.ted_view(id), kth);
+      ++result.stats.edit_distance_calls;
+      // A bound above the distance would let the break drop neighbors.
+      TREESIM_DCHECK_LE(bound, static_cast<double>(d) + 1e-9)
+          << "unsound lower bound on tree " << id;
+      // A clamped distance counts as kth + 1, the unit verifier's clamp.
+      const double gap = std::fmin(static_cast<double>(d), kth + 1.0) -
+                         std::trunc(bound);
+      gap_sum = CheckedAddAny(gap_sum, gap);
+      if (op.bound_gap != nullptr) {
+        op.bound_gap->Record(SaturatingFloor<int64_t>(gap, 0));
+      }
+      if (!full) {
+        heap.emplace(d, id);
+      } else if (std::make_pair(d, id) < heap.top()) {
+        heap.pop();
+        heap.emplace(d, id);
       }
     }
   }
@@ -222,9 +167,17 @@ Result RunKnn(const Engine& engine, const Op& op, const Costs& costs,
   return result;
 }
 
+/// Knn and BatchKnn's members report as one op.
+const Op& KnnOp() {
+  static const Op op(OpKind::kKnn, "knn", "search.knn", "search.knn.filter",
+                     "search.knn.refine");
+  return op;
+}
+
 }  // namespace
 }  // namespace pipeline
 
+using pipeline::KnnOp;
 using pipeline::Op;
 using pipeline::OpKind;
 using pipeline::QueryScope;
@@ -238,6 +191,7 @@ SimilaritySearch::SimilaritySearch(const TreeDatabase* db,
     : db_(db), filter_(std::move(filter)) {
   TREESIM_CHECK(db_ != nullptr);
   if (filter_ != nullptr) filter_->Build(db_->trees());
+  indexed_size_ = db_->size();
 }
 
 std::string SimilaritySearch::filter_name() const {
@@ -245,61 +199,65 @@ std::string SimilaritySearch::filter_name() const {
 }
 
 RangeResult SimilaritySearch::Range(const Tree& query, int tau,
-                                    ThreadPool* pool) {
+                                    ThreadPool* pool) const {
   static const Op op(OpKind::kRange, "range", "search.range",
                      "search.range.filter", "search.range.refine");
-  return RunRange<RangeResult>({*db_, filter_.get()}, op, UnitCosts{}, query,
-                               tau, pool);
+  return RunRange<RangeResult>({*db_, filter_.get(), indexed_size_}, op,
+                               UnitCosts{}, query, tau, pool);
 }
 
-KnnResult SimilaritySearch::Knn(const Tree& query, int k, ThreadPool* pool) {
-  TREESIM_CHECK_GT(k, 0);
-  static const Op op(OpKind::kKnn, "knn", "search.knn", "search.knn.filter",
-                     "search.knn.refine");
-  return RunKnn<KnnResult>({*db_, filter_.get()}, op, UnitCosts{}, query, k,
-                           pool);
+KnnResult SimilaritySearch::Knn(const Tree& query, int k,
+                                ThreadPool* pool) const {
+  return RunKnn<KnnResult>({*db_, filter_.get(), indexed_size_}, KnnOp(),
+                           UnitCosts{}, query, k, pool, AllocateQueryId());
 }
 
 BatchKnnResult SimilaritySearch::BatchKnn(const std::vector<Tree>& queries,
-                                          int k, ThreadPool* pool) {
+                                          int k, ThreadPool* pool) const {
   static const Op op(OpKind::kBatch, "batch_knn", "search.batch_knn", nullptr,
                      nullptr);
-  // The batch gets its own context; each member Knn() nests its own, so
-  // member telemetry keys to the member and the summary to the batch.
-  // Members run in order, since PrepareQuery may extend shared dictionaries.
+  // The batch gets its own context and each member its own, so member
+  // telemetry keys to the member and the summary to the batch. Member ids
+  // are allocated here, in query order, before the members fan out.
   const QueryScope scope(op, static_cast<int64_t>(queries.size()));
+  const pipeline::Engine engine(*db_, filter_.get(), indexed_size_);
+  std::vector<int64_t> ids(queries.size());
+  for (int64_t& id : ids) id = AllocateQueryId();
   BatchKnnResult out;
-  out.per_query.reserve(queries.size());
-  for (const Tree& query : queries) {
-    out.per_query.push_back(Knn(query, k, pool));
-    out.combined += out.per_query.back().stats;
-  }
+  out.per_query.resize(queries.size());
+  ParallelFor(pool, static_cast<int64_t>(queries.size()), [&](int64_t i) {
+    const size_t q = static_cast<size_t>(i);
+    out.per_query[q] = RunKnn<KnnResult>(engine, KnnOp(), UnitCosts{},
+                                         queries[q], k, /*pool=*/nullptr,
+                                         ids[q]);
+  });
+  for (const KnnResult& member : out.per_query) out.combined += member.stats;
   scope.Finish(k, out.combined, filter_.get(), [&](LogRecord& line) {
     line.Int("queries", static_cast<int64_t>(queries.size()));
   });
   return out;
 }
 
-WeightedRangeResult SimilaritySearch::RangeWeighted(const Tree& query,
-                                                    double tau,
-                                                    const CostModel& costs) {
+WeightedRangeResult SimilaritySearch::RangeWeighted(
+    const Tree& query, double tau, const CostModel& costs) const {
   const WeightedCosts weighted(costs);
   static const Op op(OpKind::kRange, "range_weighted", "search.range_weighted",
                      "search.range_weighted.filter",
                      "search.range_weighted.refine");
-  return RunRange<WeightedRangeResult>({*db_, filter_.get()}, op, weighted,
-                                       query, tau, /*pool=*/nullptr);
+  return RunRange<WeightedRangeResult>({*db_, filter_.get(), indexed_size_},
+                                       op, weighted, query, tau,
+                                       /*pool=*/nullptr);
 }
 
 WeightedKnnResult SimilaritySearch::KnnWeighted(const Tree& query, int k,
-                                                const CostModel& costs) {
+                                                const CostModel& costs) const {
   const WeightedCosts weighted(costs);
-  TREESIM_CHECK_GT(k, 0);
   static const Op op(OpKind::kKnn, "knn_weighted", "search.knn_weighted",
                      "search.knn_weighted.filter",
                      "search.knn_weighted.refine");
-  return RunKnn<WeightedKnnResult>({*db_, filter_.get()}, op, weighted, query,
-                                   k, /*pool=*/nullptr);
+  return RunKnn<WeightedKnnResult>({*db_, filter_.get(), indexed_size_}, op,
+                                   weighted, query, k, /*pool=*/nullptr,
+                                   AllocateQueryId());
 }
 
 }  // namespace treesim

@@ -31,7 +31,7 @@ struct KnnResult {
 /// order, plus the merged accounting.
 struct BatchKnnResult {
   std::vector<KnnResult> per_query;
-  /// Sum of the per-query stats, merged when the parallel refinement joins.
+  /// Sum of the per-query stats; with a pool its seconds add up worker time.
   QueryStats combined;
 };
 
@@ -58,10 +58,17 @@ struct WeightedKnnResult {
 /// distances, and orderings — are byte-identical to what the unbounded
 /// Zhang–Shasha refine produced; only the refine-stage work changes (see
 /// the ted.bounded_* counters).
+///
+/// Every query member is const and only reads the database and the built
+/// filter, so queries never grow the index and any number of threads may
+/// query one engine at once. A pool parallelizes independent units only:
+/// a range query's candidates, a k-NN query's per-tree bounds, a batch's
+/// queries. Answers and counts are the same for any pool size.
 class SimilaritySearch {
  public:
   /// Builds `filter` over `db` (pass nullptr for sequential scan). `db`
-  /// must outlive this object.
+  /// must outlive this object and must not grow after it is built: every
+  /// query checks that its size is still the one the filter indexed.
   SimilaritySearch(const TreeDatabase* db,
                    std::unique_ptr<FilterIndex> filter);
 
@@ -73,34 +80,22 @@ class SimilaritySearch {
   /// All trees with EDist(query, tree) <= tau. Filtering uses
   /// FilterIndex::MayQualify; survivors are verified with exact TED. With a
   /// pool, candidate verification (the dominant cost) fans out over the
-  /// workers into per-candidate slots; matches and stats are identical to
-  /// the sequential scan for any pool size.
-  RangeResult Range(const Tree& query, int tau, ThreadPool* pool = nullptr);
+  /// workers into per-candidate slots.
+  RangeResult Range(const Tree& query, int tau,
+                    ThreadPool* pool = nullptr) const;
 
   /// The k nearest neighbors by exact TED, via the optimal multi-step
-  /// strategy (Algorithm 2): lower bounds for every tree, ascending sweep,
-  /// early break once the k-th best exact distance is below the next bound.
-  ///
-  /// The sweep verifies bound-ascending blocks: each tree of a block is
-  /// verified into its own slot against the k-th best exact distance at
-  /// block start, then the block merges into the result heap in order. A
-  /// tree is skipped when its bound already exceeds that k-th best, and the
-  /// sweep stops at the first block whose smallest bound does — the same
-  /// soundness argument as the sequential early break (every skipped tree
-  /// has exact distance >= bound > k-th best). Without a pool a block is
-  /// one tree, which is exactly the sequential sweep. `neighbors` is
-  /// byte-identical for any pool size; `stats.edit_distance_calls` may
-  /// exceed the sequential count (a block may verify a few candidates past
-  /// the optimal stopping point).
-  KnnResult Knn(const Tree& query, int k, ThreadPool* pool = nullptr);
+  /// strategy (Algorithm 2): lower bounds for every tree, then one
+  /// sequential sweep in ascending bound order that verifies each tree at
+  /// the k-th best distance so far and breaks at the first bound above it.
+  /// With a pool, only the per-tree bounds fan out.
+  KnnResult Knn(const Tree& query, int k, ThreadPool* pool = nullptr) const;
 
-  /// Batch k-NN entry point: answers `queries` in input order, refining
-  /// each query's candidates in parallel over `pool`; per-query QueryStats
-  /// are merged into `combined` at join. Query preparation stays sequential
-  /// (filters may extend shared dictionaries), so results are identical to
-  /// calling Knn() per query.
+  /// Batch k-NN: one Knn() per query, without a pool, the queries fanning
+  /// out over `pool`. `per_query` is in input order and equals what Knn()
+  /// answers for each query, stats included.
   BatchKnnResult BatchKnn(const std::vector<Tree>& queries, int k,
-                          ThreadPool* pool = nullptr);
+                          ThreadPool* pool = nullptr) const;
 
   /// Name of the active filter ("Sequential" when none).
   std::string filter_name() const;
@@ -111,15 +106,16 @@ class SimilaritySearch {
   /// costing >= costs.MinOperationCost(), so bounds scale by that constant
   /// and exactness is preserved. costs.MinOperationCost() must be > 0.
   WeightedRangeResult RangeWeighted(const Tree& query, double tau,
-                                    const CostModel& costs);
+                                    const CostModel& costs) const;
 
   /// k-NN under a general cost model (same scaling argument).
   WeightedKnnResult KnnWeighted(const Tree& query, int k,
-                                const CostModel& costs);
+                                const CostModel& costs) const;
 
  private:
   const TreeDatabase* db_;
   std::unique_ptr<FilterIndex> filter_;
+  int indexed_size_ = 0;  ///< db_->size() when filter_ was built
 };
 
 }  // namespace treesim

@@ -21,10 +21,8 @@ int64_t AllocateQueryId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-ScopedQueryContext::ScopedQueryContext(const char* tag,
-                                       int64_t deadline_micros) {
+ScopedQueryContext::ScopedQueryContext(const char* tag) {
   current_.query_id = AllocateQueryId();
-  current_.deadline_micros = deadline_micros;
   current_.tag = tag;
   QueryContext& slot = CurrentSlot();
   saved_ = slot;

@@ -18,9 +18,6 @@ namespace treesim {
 /// treats 0 as absent and emits nothing query-scoped.
 struct QueryContext {
   int64_t query_id = 0;
-  /// Absolute deadline in UnixMicros(), 0 = none. A slot for the future
-  /// server's per-request deadlines; nothing enforces it yet.
-  int64_t deadline_micros = 0;
   /// Operation tag ("range", "knn", ...). Must be a string literal or
   /// otherwise outlive every task holding the context.
   const char* tag = "";
@@ -28,7 +25,7 @@ struct QueryContext {
 
 #if TREESIM_METRICS_ENABLED
 
-/// The calling thread's current context ({0,0,""} when none is active).
+/// The calling thread's current context ({0,""} when none is active).
 const QueryContext& CurrentQueryContext();
 
 /// Next process-wide query id (monotonic, starts at 1; 0 is reserved for
@@ -43,7 +40,7 @@ int64_t AllocateQueryId();
 class ScopedQueryContext {
  public:
   /// Opens a fresh context: allocates the id on this thread.
-  explicit ScopedQueryContext(const char* tag, int64_t deadline_micros = 0);
+  explicit ScopedQueryContext(const char* tag);
   /// Adopts an existing context (worker-thread restore path).
   explicit ScopedQueryContext(const QueryContext& ctx);
   ~ScopedQueryContext();
@@ -70,7 +67,7 @@ inline int64_t AllocateQueryId() { return 0; }
 
 class ScopedQueryContext {
  public:
-  explicit ScopedQueryContext(const char*, int64_t = 0) {}
+  explicit ScopedQueryContext(const char*) {}
   explicit ScopedQueryContext(const QueryContext&) {}
 
   ScopedQueryContext(const ScopedQueryContext&) = delete;

@@ -1,7 +1,9 @@
 #include "core/branch_profile.h"
 
 #include <memory>
+#include <vector>
 
+#include "core/positional.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "ted/zhang_shasha.h"
@@ -31,6 +33,45 @@ TEST(BranchProfileTest, EntriesSortedWithPositions) {
       EXPECT_LT(e.occurrences[i - 1].first, e.occurrences[i].first);
       EXPECT_LE(e.posts_sorted[i - 1], e.posts_sorted[i]);
     }
+  }
+}
+
+TEST(BranchProfileTest, QueryProfileKeepsEveryBoundAndTheDictionary) {
+  // FromQuery only reads its dictionary and folds every unseen branch into
+  // kUnseenBranch, yet against every database profile it gives the bounds
+  // an interning profile gives: unseen branches match no database branch
+  // either way.
+  auto labels = std::make_shared<LabelDictionary>();
+  const std::vector<LabelId> db_labels = MakeLabelPool(labels, 3);
+  std::vector<LabelId> query_labels = db_labels;
+  query_labels.push_back(labels->Intern("unseen"));
+  Rng rng(97);
+  std::vector<Tree> trees;
+  for (int i = 0; i < 30; ++i) {
+    trees.push_back(RandomTree(rng.UniformInt(1, 20), db_labels, labels, rng));
+  }
+  for (const int q : {2, 3}) {
+    BranchDictionary frozen(q);
+    BranchDictionary interning(q);  // same trees in the same order: same ids
+    std::vector<BranchProfile> data;
+    for (const Tree& t : trees) {
+      data.push_back(BranchProfile::FromTree(t, frozen));
+      static_cast<void>(BranchProfile::FromTree(t, interning));
+    }
+    const size_t built = frozen.size();
+    for (int i = 0; i < 20; ++i) {
+      const Tree query =
+          RandomTree(rng.UniformInt(1, 20), query_labels, labels, rng);
+      const BranchProfile looked_up = BranchProfile::FromQuery(query, frozen);
+      const BranchProfile interned = BranchProfile::FromTree(query, interning);
+      EXPECT_TRUE(looked_up.ValidateInvariants().ok());
+      for (const BranchProfile& p : data) {
+        EXPECT_EQ(BranchDistance(looked_up, p), BranchDistance(interned, p));
+        EXPECT_EQ(OptimisticBound(looked_up, p, MatchingMode::kAuto),
+                  OptimisticBound(interned, p, MatchingMode::kAuto));
+      }
+    }
+    EXPECT_EQ(frozen.size(), built) << "q=" << q;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "test_util.h"
 #include "ted/cost_model.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace treesim {
 namespace {
@@ -196,6 +197,51 @@ TEST_F(FlightRecorderTest, EverySearchEntryRecordsOneFlight) {
         if (op == rec.op) ++tagged;
       }
       EXPECT_EQ(tagged, 1) << op << " on a database of " << size << " trees";
+    }
+  }
+}
+
+TEST_F(FlightRecorderTest, BatchMemberIdsFollowQueryOrderAtAnyPoolSize) {
+  // Member ids are allocated on the calling thread in query order before
+  // the members fan out, so with or without a pool the batch's id is
+  // followed by one "knn" record per member, in query order, each carrying
+  // that member's funnel.
+  if (!kMetricsEnabled) GTEST_SKIP() << "TREESIM_METRICS=OFF";
+  auto labels = std::make_shared<LabelDictionary>();
+  const std::vector<LabelId> pool = testing::MakeLabelPool(labels, 4);
+  Rng rng(73);
+  TreeDatabase db(labels);
+  for (int i = 0; i < 40; ++i) {
+    db.Add(testing::RandomTree(rng.UniformInt(2, 12), pool, labels, rng));
+  }
+  std::vector<Tree> queries;
+  for (int i = 0; i < 5; ++i) {
+    queries.push_back(testing::RandomTree(3 + 2 * i, pool, labels, rng));
+  }
+  const SimilaritySearch search(&db, std::make_unique<BiBranchFilter>());
+  ThreadPool workers(4);
+  for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &workers}) {
+    FlightRecorder::Global().ResetForTest();
+    const BatchKnnResult batch = search.BatchKnn(queries, 3, threads);
+    int64_t batch_id = 0;
+    std::vector<FlightRecord> members(queries.size());
+    const std::vector<FlightRecord> records =
+        FlightRecorder::Global().Snapshot();
+    for (const FlightRecord& rec : records) {
+      if (std::string(rec.op) == "batch_knn") batch_id = rec.query_id;
+    }
+    ASSERT_EQ(records.size(), queries.size() + 1);
+    for (const FlightRecord& rec : records) {
+      if (std::string(rec.op) != "knn") continue;
+      const int64_t member = rec.query_id - batch_id - 1;
+      ASSERT_GE(member, 0);
+      ASSERT_LT(member, static_cast<int64_t>(queries.size()));
+      members[static_cast<size_t>(member)] = rec;
+    }
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(members[i].refined,
+                batch.per_query[i].stats.edit_distance_calls)
+          << "member " << i << (threads == nullptr ? " inline" : " pooled");
     }
   }
 }

@@ -94,7 +94,7 @@ TEST(InvertedFileTest, ProfilesMatchDirectExtraction) {
       ASSERT_EQ(profiles.size(), trees.size());
       for (size_t i = 0; i < trees.size(); ++i) {
         const BranchProfile direct =
-            BranchProfile::FromTree(trees[i], index.branch_dict());
+            BranchProfile::FromQuery(trees[i], index.branch_dict());
         ASSERT_EQ(profiles[i].entries.size(), direct.entries.size()) << i;
         EXPECT_EQ(profiles[i].tree_size, direct.tree_size);
         EXPECT_EQ(profiles[i].q, direct.q);

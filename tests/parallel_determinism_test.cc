@@ -1,9 +1,12 @@
 // Pins the determinism contract of every pool-aware layer: with any worker
-// count, results are identical to the sequential path — parallelism may
-// only change wall-clock time (and, for the k-NN sweep, the number of
-// verifications, which is why these tests compare results, not stats
-// counters, for Knn).
+// count, results and stats counts are identical to the sequential path —
+// parallelism may only change wall-clock time. Also pins that queries only
+// read the engine: they leave the index as built, and concurrent queries on
+// one engine answer as sequential ones do.
 #include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -22,6 +25,12 @@ using testing::MakeLabelPool;
 using testing::RandomTree;
 
 constexpr int kWorkers = 8;
+
+/// Every count of `stats`, that is all but the timings.
+std::vector<int64_t> Counts(const QueryStats& stats) {
+  return {stats.database_size, stats.candidates, stats.results,
+          stats.edit_distance_calls};
+}
 
 std::unique_ptr<TreeDatabase> SeededDb(int count, uint64_t seed,
                                        int max_size = 16) {
@@ -111,9 +120,9 @@ TEST(ParallelDeterminismTest, KnnIdenticalNeighbors) {
         const Tree& query = db->tree(qi * 11);
         const KnnResult s = seq.Knn(query, k, nullptr);
         const KnnResult p = par.Knn(query, k, &pool);
-        // Neighbors are byte-identical; edit_distance_calls may differ (a
-        // parallel block can verify past the sequential stopping point).
         EXPECT_EQ(p.neighbors, s.neighbors)
+            << "k=" << k << " filtered=" << filtered;
+        EXPECT_EQ(Counts(p.stats), Counts(s.stats))
             << "k=" << k << " filtered=" << filtered;
       }
     }
@@ -135,6 +144,8 @@ TEST(ParallelDeterminismTest, BatchKnnMatchesSequentialKnn) {
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const KnnResult s = seq.Knn(queries[qi], k, nullptr);
     EXPECT_EQ(batch.per_query[qi].neighbors, s.neighbors) << "query " << qi;
+    EXPECT_EQ(Counts(batch.per_query[qi].stats), Counts(s.stats))
+        << "query " << qi;
     results += batch.per_query[qi].stats.results;
   }
   // The merged stats are the sum of the per-query stats.
@@ -180,13 +191,12 @@ TEST(ParallelDeterminismTest, JoinAndSelfJoinIdentical) {
 }
 
 TEST(ParallelDeterminismTest, BoundedKnnDeterministicUnderTies) {
-  // The bounded refine path snapshots the kth-best distance as its
-  // threshold; a stale snapshot (heap improved after the read) may verify
-  // with a looser bound, but candidates clamped at tau_b + 1 must still
-  // lose every heap-insert tie-break exactly like their true distance
-  // would. A tiny label pool over small trees makes most distances collide
-  // at the kth value, so any tie mishandling flips a neighbor id. Repeats
-  // vary the interleaving.
+  // The bounded refine path verifies at the kth-best distance, and
+  // candidates clamped at tau_b + 1 must lose every heap-insert tie-break
+  // exactly like their true distance would. A tiny label pool over small
+  // trees makes most distances collide at the kth value, so any tie
+  // mishandling flips a neighbor id. Repeats vary the interleaving of the
+  // pooled bounds.
   auto dict = std::make_shared<LabelDictionary>();
   auto db = std::make_unique<TreeDatabase>(dict);
   const std::vector<LabelId> pool_ids = MakeLabelPool(dict, 2);
@@ -244,6 +254,112 @@ TEST(ParallelDeterminismTest, BoundedRangeAndJoinDeterministicUnderTies) {
     EXPECT_EQ(p.pairs, s.pairs) << "tau=" << tau;
     EXPECT_EQ(p.stats.edit_distance_calls, s.stats.edit_distance_calls);
   }
+}
+
+/// `count` random trees over the database's labels "l0".."l4" plus three
+/// labels it never saw, so nearly every query has branches its index never
+/// interned.
+std::vector<Tree> QueriesWithFreshLabels(const TreeDatabase& db, int count,
+                                         uint64_t seed) {
+  const std::shared_ptr<LabelDictionary>& dict = db.label_dict();
+  std::vector<LabelId> labels = MakeLabelPool(dict, 5);
+  for (int i = 0; i < 3; ++i) {
+    labels.push_back(dict->Intern("fresh" + std::to_string(i)));
+  }
+  Rng rng(seed);
+  std::vector<Tree> queries;
+  for (int i = 0; i < count; ++i) {
+    queries.push_back(RandomTree(rng.UniformInt(2, 16), labels, dict, rng));
+  }
+  return queries;
+}
+
+TEST(ParallelDeterminismTest, QueriesLeaveTheBranchDictionaryUnchanged) {
+  auto db = SeededDb(50, 2049);
+  const std::vector<Tree> queries = QueriesWithFreshLabels(*db, 6, 2051);
+  auto left = std::make_unique<TreeDatabase>(db->label_dict());
+  for (const Tree& query : queries) left->Add(query);
+  auto search_filter = std::make_unique<BiBranchFilter>();
+  auto join_filter = std::make_unique<BiBranchFilter>();
+  const BranchDictionary& search_dict =
+      search_filter->inverted_file().branch_dict();
+  const BranchDictionary& join_dict =
+      join_filter->inverted_file().branch_dict();
+  SimilaritySearch search(db.get(), std::move(search_filter));
+  SimilarityJoin join(db.get(), std::move(join_filter));
+  SimilaritySearch plain_search(db.get(), nullptr);
+  SimilarityJoin plain_join(db.get(), nullptr);
+  const size_t search_size = search_dict.size();
+  const size_t join_size = join_dict.size();
+  ThreadPool pool(2);
+
+  for (const Tree& query : queries) {
+    EXPECT_EQ(search.Range(query, 3).matches,
+              plain_search.Range(query, 3).matches);
+    EXPECT_EQ(search.Knn(query, 4, &pool).neighbors,
+              plain_search.Knn(query, 4).neighbors);
+  }
+  const BatchKnnResult batch = search.BatchKnn(queries, 4, &pool);
+  const BatchKnnResult plain_batch = plain_search.BatchKnn(queries, 4);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    EXPECT_EQ(batch.per_query[qi].neighbors,
+              plain_batch.per_query[qi].neighbors)
+        << "query " << qi;
+  }
+  EXPECT_EQ(join.Join(*left, 3, &pool).pairs, plain_join.Join(*left, 3).pairs);
+  EXPECT_EQ(join.SelfJoin(2, &pool).pairs, plain_join.SelfJoin(2).pairs);
+  EXPECT_EQ(search_dict.size(), search_size);
+  EXPECT_EQ(join_dict.size(), join_size);
+}
+
+TEST(ParallelDeterminismTest, ConcurrentQueriesOnOneEngineMatchSequential) {
+  // Eight client threads query one SimilaritySearch and one SimilarityJoin,
+  // BatchKnn and Join on one shared 2-worker pool, with query trees whose
+  // branches the index never interned: a query that wrote the index would
+  // race with the others here. The concurrent round runs first, so no
+  // sequential query can have written such a branch before it.
+  auto db = SeededDb(60, 2053);
+  const std::vector<Tree> queries = QueriesWithFreshLabels(*db, 6, 2055);
+  auto left = std::make_unique<TreeDatabase>(db->label_dict());
+  for (const Tree& query : queries) left->Add(query);
+  auto search_filter = std::make_unique<BiBranchFilter>();
+  const BranchDictionary& dict = search_filter->inverted_file().branch_dict();
+  SimilaritySearch search(db.get(), std::move(search_filter));
+  SimilarityJoin join(db.get(), std::make_unique<BiBranchFilter>());
+  const size_t built_size = dict.size();
+
+  struct Answers {
+    std::vector<std::vector<std::pair<int, int>>> lists;
+    std::vector<std::tuple<int, int, int>> join;
+  };
+  // One client's mix; clients start at different queries.
+  const auto ask = [&](int client, ThreadPool* pool) {
+    Answers out;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Tree& query =
+          queries[(i + static_cast<size_t>(client)) % queries.size()];
+      out.lists.push_back(search.Range(query, 3).matches);
+      out.lists.push_back(search.Knn(query, 3).neighbors);
+    }
+    for (const KnnResult& r : search.BatchKnn(queries, 4, pool).per_query) {
+      out.lists.push_back(r.neighbors);
+    }
+    out.join = join.Join(*left, 2, pool).pairs;
+    return out;
+  };
+  std::vector<Answers> got(kWorkers);
+  ThreadPool shared(2);
+  ThreadPool clients(kWorkers);
+  clients.ParallelFor(kWorkers, [&](int64_t client) {
+    got[static_cast<size_t>(client)] = ask(static_cast<int>(client), &shared);
+  });
+  for (int client = 0; client < kWorkers; ++client) {
+    const Answers expected = ask(client, nullptr);
+    EXPECT_EQ(got[static_cast<size_t>(client)].lists, expected.lists)
+        << client;
+    EXPECT_EQ(got[static_cast<size_t>(client)].join, expected.join) << client;
+  }
+  EXPECT_EQ(dict.size(), built_size);
 }
 
 TEST(ParallelDeterminismTest, TinyInputsTakeTheSequentialPath) {

@@ -129,5 +129,15 @@ TEST(SimilarityJoinDeathTest, MismatchedDictionariesRejected) {
   EXPECT_DEATH((void)join.Join(*left, 1), "share one label dictionary");
 }
 
+TEST(SimilarityJoinDeathTest, RightSideGrownAfterIndexingRejected) {
+  auto dict = std::make_shared<LabelDictionary>();
+  auto right = std::make_unique<TreeDatabase>(dict);
+  right->Add(MakeTree("a{b c}", dict));
+  const SimilarityJoin join(right.get(), std::make_unique<BiBranchFilter>());
+  right->Add(MakeTree("a{b}", dict));
+  EXPECT_DEATH((void)join.Join(*right, 1), "database grew after indexing");
+  EXPECT_DEATH((void)join.SelfJoin(1), "database grew after indexing");
+}
+
 }  // namespace
 }  // namespace treesim

@@ -48,6 +48,25 @@ TEST(TreeDatabaseTest, AverageDistanceEstimate) {
   EXPECT_DOUBLE_EQ(db.EstimateAverageDistance(rng, 50), 1.0);
 }
 
+TEST(SimilaritySearchDeathTest, DatabaseGrownAfterIndexingRejected) {
+  // A tree added after the filter was built has no filter entry: every
+  // entry point must stop instead of reading past the filter's arrays.
+  auto dict = std::make_shared<LabelDictionary>();
+  TreeDatabase db(dict);
+  db.Add(MakeTree("a{b c}", dict));
+  db.Add(MakeTree("a{b}", dict));
+  const SimilaritySearch engine(&db, std::make_unique<BiBranchFilter>());
+  db.Add(MakeTree("x{y}", dict));
+  const Tree query = MakeTree("a{b}", dict);
+  const CostModel& unit = UnitCostModel::Get();
+  constexpr const char* kGrew = "database grew after indexing";
+  EXPECT_DEATH((void)engine.Range(query, 1), kGrew);
+  EXPECT_DEATH((void)engine.Knn(query, 1), kGrew);
+  EXPECT_DEATH((void)engine.BatchKnn({query}, 1), kGrew);
+  EXPECT_DEATH((void)engine.RangeWeighted(query, 1.0, unit), kGrew);
+  EXPECT_DEATH((void)engine.KnnWeighted(query, 1, unit), kGrew);
+}
+
 TEST(TreeDatabaseDeathTest, ForeignDictionaryRejected) {
   auto dict1 = std::make_shared<LabelDictionary>();
   auto dict2 = std::make_shared<LabelDictionary>();
