@@ -99,6 +99,7 @@ std::string QueryStatsJson(const QueryStats& stats) {
   o.Int("database_size", stats.database_size)
       .Int("candidates", stats.candidates)
       .Int("edit_distance_calls", stats.edit_distance_calls)
+      .Int("ted_cells", stats.ted_cells)
       .Int("results", stats.results)
       .Double("filter_seconds", stats.filter_seconds)
       .Double("refine_seconds", stats.refine_seconds)

@@ -21,7 +21,6 @@
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/structured_log.h"
-#include "util/thread_pool.h"
 
 namespace treesim {
 namespace bench {
@@ -57,7 +56,6 @@ enum class WorkloadKind { kRange, kKnn };
 struct CommonFlags {
   int trees = 0;
   int queries = 0;
-  int threads = 0;
   uint64_t seed = 0;
   /// `--json=FILE`: canonical BenchReport destination ("" = no report).
   std::string json_path;
@@ -74,7 +72,6 @@ inline CommonFlags ParseCommonFlags(const FlagParser& flags,
   CommonFlags out;
   out.trees = static_cast<int>(flags.GetInt("trees", default_trees));
   out.queries = static_cast<int>(flags.GetInt("queries", default_queries));
-  out.threads = static_cast<int>(flags.GetInt("threads", 1));
   out.seed = static_cast<uint64_t>(
       flags.GetInt("seed", static_cast<int64_t>(default_seed)));
   out.json_path = flags.GetString("json", "");
@@ -88,7 +85,6 @@ inline void ReportCommonConfig(const CommonFlags& f, BenchReport& report) {
   report.config()
       .Int("trees", f.trees)
       .Int("queries", f.queries)
-      .Int("threads", f.threads)
       .Int("seed", static_cast<int64_t>(f.seed))
       .Int("slow_query_ms", f.slow_query_ms);
 }
@@ -123,9 +119,6 @@ struct WorkloadConfig {
   /// Pairs sampled when estimating the average distance.
   int distance_sample_pairs = 300;
   uint64_t seed = 20050614;  // SIGMOD 2005 opening day
-  /// Worker threads for candidate refinement (0 = every hardware thread).
-  /// Results are identical for any value; only the CPU columns change.
-  int threads = 1;
 };
 
 /// Builds a TreeDatabase from generated trees.
@@ -173,13 +166,6 @@ inline WorkloadResult RunWorkload(const TreeDatabase& db,
   const MetricsSnapshot metrics_before = MetricsRegistry::Global().Snapshot();
   Rng rng(config.seed);
 
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (const int workers = ClampThreads(config.threads, db.size());
-      workers > 1) {
-    owned_pool = std::make_unique<ThreadPool>(workers);
-  }
-  ThreadPool* const pool = owned_pool.get();
-
   SimilaritySearch sequential(&db, nullptr);
   SimilaritySearch bibranch(&db, std::make_unique<BiBranchFilter>());
   SimilaritySearch histo(&db, std::make_unique<HistogramFilter>(
@@ -202,9 +188,9 @@ inline WorkloadResult RunWorkload(const TreeDatabase& db,
         db.tree(static_cast<int>(rng.UniformIndex(
             static_cast<size_t>(db.size()))));
     if (config.kind == WorkloadKind::kRange) {
-      const RangeResult seq = sequential.Range(query, out.tau, pool);
-      const RangeResult bb = bibranch.Range(query, out.tau, pool);
-      const RangeResult hi = histo.Range(query, out.tau, pool);
+      const RangeResult seq = sequential.Range(query, out.tau);
+      const RangeResult bb = bibranch.Range(query, out.tau);
+      const RangeResult hi = histo.Range(query, out.tau);
       if (bb.matches != seq.matches || hi.matches != seq.matches) {
         std::fprintf(stderr, "FATAL: filtered result mismatch (query %d)\n",
                      qi);
@@ -214,9 +200,9 @@ inline WorkloadResult RunWorkload(const TreeDatabase& db,
       bb_total += bb.stats;
       hi_total += hi.stats;
     } else {
-      const KnnResult seq = sequential.Knn(query, out.k, pool);
-      const KnnResult bb = bibranch.Knn(query, out.k, pool);
-      const KnnResult hi = histo.Knn(query, out.k, pool);
+      const KnnResult seq = sequential.Knn(query, out.k);
+      const KnnResult bb = bibranch.Knn(query, out.k);
+      const KnnResult hi = histo.Knn(query, out.k);
       if (bb.neighbors != seq.neighbors || hi.neighbors != seq.neighbors) {
         std::fprintf(stderr, "FATAL: filtered k-NN mismatch (query %d)\n",
                      qi);

@@ -35,7 +35,6 @@ int Main(int argc, char** argv) {
     auto db = MakeDatabase(labels, gen.GenerateDataset(common.trees));
 
     WorkloadConfig config;
-    config.threads = common.threads;
     config.kind = WorkloadKind::kKnn;
     config.queries = common.queries;
     config.k_fraction = 0.0025;

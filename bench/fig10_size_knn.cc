@@ -43,7 +43,6 @@ int Main(int argc, char** argv) {
     auto db = MakeDatabase(labels, gen.GenerateDataset(common.trees));
 
     WorkloadConfig config;
-    config.threads = common.threads;
     config.kind = WorkloadKind::kKnn;
     config.queries =
         common.queries > 0 ? common.queries : DefaultQueries(size);

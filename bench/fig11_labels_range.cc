@@ -36,7 +36,6 @@ int Main(int argc, char** argv) {
     auto db = MakeDatabase(labels, gen.GenerateDataset(common.trees));
 
     WorkloadConfig config;
-    config.threads = common.threads;
     config.kind = WorkloadKind::kRange;
     config.queries = common.queries;
     config.tau_fraction = 0.2;

@@ -41,7 +41,6 @@ int Main(int argc, char** argv) {
 
   for (const int k : {5, 7, 10, 12, 15, 17, 20}) {
     WorkloadConfig config;
-    config.threads = common.threads;
     config.kind = WorkloadKind::kKnn;
     config.queries = common.queries;
     config.fixed_k = k;

@@ -30,7 +30,6 @@ int Main(int argc, char** argv) {
 
   for (const int tau : {1, 2, 3, 4, 5, 7, 10}) {
     WorkloadConfig config;
-    config.threads = common.threads;
     config.kind = WorkloadKind::kRange;
     config.queries = common.queries;
     config.fixed_tau = tau;

@@ -1,14 +1,15 @@
-// Parallel scaling of the two pool-aware layers: the pairwise distance
-// matrix and batch k-NN over the filter-and-refine engine. Each layer runs
-// sequentially and then over a worker pool; the binary prints wall-clock
-// speedups and verifies that the parallel results are identical to the
-// sequential ones (the determinism contract the unit tests pin down on
-// small corpora).
+// Parallel scaling of every pool user: the pairwise distance matrix, batch
+// k-NN and the similarity join over the filter-and-refine engine. A pool
+// runs whole units (matrix rows, queries, left trees), each on one thread.
+// Each layer runs sequentially and then over a worker pool; the binary
+// prints wall-clock speedups and verifies that the parallel results are
+// identical to the sequential ones (the determinism contract the unit
+// tests pin down on small corpora).
 //
 // Expected shape: pairwise speedup approaches the worker count (rows are
-// embarrassingly parallel); batch k-NN runs its queries in parallel, each
-// one sequential k-NN sweep, so it scales with the batch until uneven
-// per-query costs leave workers idle at the end.
+// embarrassingly parallel); batch k-NN and the join run their queries and
+// left trees in parallel, each one sequential probe or sweep, so they
+// scale until uneven per-unit costs leave workers idle at the end.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -62,8 +63,8 @@ int Main(int argc, char** argv) {
   const int queries = common.queries;
   const int k = static_cast<int>(flags.GetInt("k", 5));
   const uint64_t seed = common.seed;
-  // Unlike the figure drivers, threads=0 (all hardware threads) is the
-  // interesting default here.
+  // The pool every layer maps over; 0 (the default) is every hardware
+  // thread.
   const int workers = ClampThreads(
       static_cast<int>(flags.GetInt("threads", 0)), trees);
   BenchReport report("parallel_speedup");
@@ -140,8 +141,30 @@ int Main(int argc, char** argv) {
     report_layer("batch_knn", seq_batch, par_batch, delta);
   }
 
+  // Layer 3: the query set joined against the database at the paper's
+  // range, a fifth of the sampled average distance (Section 5).
+  const auto left = MakeDatabase(labels, query_set);
+  const int tau = static_cast<int>(0.2 * db->EstimateAverageDistance(rng, 300));
+  SimilarityJoin join(db.get(), std::make_unique<BiBranchFilter>());
+  Stopwatch seq_join_timer;
+  const JoinResult seq_join = join.Join(*left, tau, nullptr);
+  const double seq_joined = seq_join_timer.ElapsedSeconds();
+  snap = MetricsRegistry::Global().Snapshot();
+  Stopwatch par_join_timer;
+  const JoinResult par_join = join.Join(*left, tau, &pool);
+  const double par_joined = par_join_timer.ElapsedSeconds();
+  Require(seq_join.pairs == par_join.pairs, "join pairs");
+  std::printf("join tau=%d: %7.3fs -> %8.3fs  speedup %.2fx\n", tau,
+              seq_joined, par_joined, seq_joined / par_joined);
+  {
+    const MetricsSnapshot delta =
+        MetricsRegistry::Global().Snapshot().DiffSince(snap);
+    PrintLayerBreakdown("join", delta);
+    report_layer("join", seq_joined, par_joined, delta);
+  }
+
   std::printf("expected shape: pairwise speedup near the worker count; "
-              "k-NN sublinear\n\n");
+              "k-NN and join sublinear\n\n");
   return report.WriteIfRequested(common.json_path) ? 0 : 1;
 }
 

@@ -5,7 +5,6 @@
 #include "filters/filter_index.h"
 #include "util/hot.h"
 #include "util/logging.h"
-#include "util/metrics.h"
 #include "util/safe_math.h"
 #include "util/trace.h"
 
@@ -64,15 +63,10 @@ bool TREESIM_HOT BiBranchFilter::MayQualify(const FilterQueryContext& ctx,
   // Unit-cost distances are integral, so testing at floor(tau) is exact. A
   // +inf or huge tau saturates to INT_MAX; NaN admits no tree.
   const int itau = SaturatingFloor<int>(tau, /*if_nan=*/-1);
-  TREESIM_COUNTER_INC("filter.bibranch.checked");
-  bool pass;
   if (options_.positional) {
-    pass = RangeFilterPasses(q.profile(), data, itau, options_.matching);
-  } else {
-    pass = BranchDistanceLowerBound(q.profile(), data) <= itau;
+    return RangeFilterPasses(q.profile(), data, itau, options_.matching);
   }
-  if (pass) TREESIM_COUNTER_INC("filter.bibranch.passed");
-  return pass;
+  return BranchDistanceLowerBound(q.profile(), data) <= itau;
 }
 
 }  // namespace treesim

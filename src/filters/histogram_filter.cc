@@ -9,7 +9,6 @@
 #include "tree/traversal.h"
 #include "util/hot.h"
 #include "util/logging.h"
-#include "util/metrics.h"
 #include "util/safe_math.h"
 
 namespace treesim {
@@ -120,7 +119,6 @@ std::unique_ptr<FilterQueryContext> TREESIM_HOT HistogramFilter::PrepareQuery(
 
 double TREESIM_HOT HistogramFilter::LowerBound(const FilterQueryContext& ctx,
                                                int tree_id) const {
-  TREESIM_COUNTER_INC("filter.histogram.bounds");
   const auto& q = static_cast<const HistogramQueryContext&>(ctx);
   return Bound(q.features(), features_[static_cast<size_t>(tree_id)]);
 }

@@ -8,7 +8,6 @@
 #include "tree/traversal.h"
 #include "util/hot.h"
 #include "util/logging.h"
-#include "util/metrics.h"
 #include "util/safe_math.h"
 
 namespace treesim {
@@ -82,20 +81,15 @@ bool TREESIM_HOT SequenceFilter::MayQualify(const FilterQueryContext& ctx,
   // Saturating floor: +inf or a huge tau tests at INT_MAX, NaN admits none.
   const int itau = SaturatingFloor<int>(tau, /*if_nan=*/-1);
   if (itau < 0) return false;
-  TREESIM_COUNTER_INC("filter.sequence.checked");
-  bool pass;
   if (options_.mode == Options::Mode::kEditDistance) {
     // The banded SED answers the threshold question in O(tau * n).
     const TreeSequences& q =
         static_cast<const SequenceQueryContext&>(ctx).sequences();
     const TreeSequences& data = sequences_[static_cast<size_t>(tree_id)];
-    pass = StringEditDistanceBounded(q.pre, data.pre, itau) <= itau &&
+    return StringEditDistanceBounded(q.pre, data.pre, itau) <= itau &&
            StringEditDistanceBounded(q.post, data.post, itau) <= itau;
-  } else {
-    pass = LowerBound(ctx, tree_id) <= tau;
   }
-  if (pass) TREESIM_COUNTER_INC("filter.sequence.passed");
-  return pass;
+  return LowerBound(ctx, tree_id) <= tau;
 }
 
 }  // namespace treesim

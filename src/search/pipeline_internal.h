@@ -1,7 +1,6 @@
 #ifndef TREESIM_SEARCH_PIPELINE_INTERNAL_H_
 #define TREESIM_SEARCH_PIPELINE_INTERNAL_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -21,16 +20,15 @@
 #include "util/safe_math.h"
 #include "util/stopwatch.h"
 #include "util/structured_log.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 /// The one filter-and-refine pipeline (Section 4: Algorithm 2 and its range
 /// variant) under all six SimilaritySearch / SimilarityJoin entry points:
-/// Engine::Probe is the range step (filter, then Engine::Refine into
-/// slots), RunKnn (similarity_search.cc) is the Algorithm-2 sweep, and
-/// QueryScope::Finish feeds every sink from one FlightRecord. The
-/// distance-typed pieces are templated on a cost policy, so unit and
-/// weighted queries cannot drift.
+/// Engine::Probe is the range step (filter, then verify and keep),
+/// RunKnn (similarity_search.cc) is the Algorithm-2 sweep, and
+/// QueryScope::Finish feeds every sink from one FlightRecord. Each runs on
+/// the thread that calls it. The distance-typed pieces are templated on a
+/// cost policy, so unit and weighted queries cannot drift.
 namespace treesim::pipeline {
 
 /// Unit costs: integer distances, verified by BoundedTreeEditDistance, with
@@ -41,8 +39,10 @@ struct UnitCosts {
   static constexpr Distance kUnbounded = std::numeric_limits<int>::max();
   double scale = 1.0;
 
-  Distance Verify(const TedTree& a, const TedTree& b, Distance tau) const {
-    return BoundedTreeEditDistance(a, b, tau);
+  /// Adds the call's banded cells to `stats.ted_cells`.
+  Distance Verify(const TedTree& a, const TedTree& b, Distance tau,
+                  QueryStats& stats) const {
+    return BoundedTreeEditDistance(a, b, tau, &stats.ted_cells);
   }
 };
 
@@ -60,8 +60,10 @@ struct WeightedCosts {
     TREESIM_CHECK_GT(scale, 0.0) << "MinOperationCost must be positive";
   }
 
-  Distance Verify(const TedTree& a, const TedTree& b, Distance tau) const {
-    return BoundedTreeEditDistanceWeighted(a, b, tau, model);
+  Distance Verify(const TedTree& a, const TedTree& b, Distance tau,
+                  QueryStats& stats) const {
+    return BoundedTreeEditDistanceWeighted(a, b, tau, model,
+                                           &stats.ted_cells);
   }
 
   const CostModel& model;
@@ -96,7 +98,6 @@ struct Op {
   Histogram* per_query = nullptr;  ///< candidates (range), refined (k-NN)
   Histogram* bound_gap = nullptr;  ///< k-NN: exact distance minus bound
   LatencyWindow* window = nullptr;
-  Counter* bounded_cells = nullptr;  ///< ted.bounded_cells_computed
 };
 
 /// Appends a distance-typed value; Double() renders a non-finite one null.
@@ -119,11 +120,7 @@ class QueryScope {
 
   /// Adopts `context`, whose id the caller allocated (a batch member).
   QueryScope(const Op& op, const QueryContext& context, int64_t queries = 1)
-      : op_(op),
-        context_(context),
-        span_(op.span),
-        cells_before_(op.bounded_cells == nullptr ? 0
-                                                  : op.bounded_cells->value()) {
+      : op_(op), context_(context), span_(op.span) {
     if (op.queries != nullptr) op.queries->Increment(queries);
   }
 
@@ -146,8 +143,7 @@ class QueryScope {
       rec.filter_micros = static_cast<int64_t>(stats.filter_seconds * 1e6);
       rec.refine_micros = static_cast<int64_t>(stats.refine_seconds * 1e6);
       rec.total_micros = static_cast<int64_t>(stats.TotalSeconds() * 1e6);
-      // A diff of a process-wide counter: approximate when queries overlap.
-      rec.bounded_cells_delta = op_.bounded_cells->value() - cells_before_;
+      rec.bounded_cells = stats.ted_cells;
       rec.slow = StructuredLog::Global().IsSlow(rec.total_micros);
 
       const auto add = [](Counter* counter, int64_t value) {
@@ -182,6 +178,7 @@ class QueryScope {
             .Int("filter_micros", rec.filter_micros)
             .Int("refine_micros", rec.refine_micros)
             .Int("total_micros", rec.total_micros)
+            .Int("bounded_cells", rec.bounded_cells)
             .Bool("slow", rec.slow);
         extra(line);
         qlog.Write(line);
@@ -194,7 +191,6 @@ class QueryScope {
   const Op& op_;
   const ScopedQueryContext context_;
   const TraceSpan span_;
-  const int64_t cells_before_;
 };
 
 /// The database probed and its filter (null means the sequential scan).
@@ -217,14 +213,16 @@ struct Engine {
   /// One range probe (Section 4's range variant) of `query`, with `view` as
   /// its TED view: candidates among ids [first, db.size()) at tau / scale
   /// unit operations (the most a tree within tau can need; every id without
-  /// a filter), then Refine. Fills `stats` but for results.
+  /// a filter), each then verified at tau. Returns the (id, distance) pairs
+  /// within tau, in id order; a clamped d > tau fails that test just as the
+  /// full distance would. Fills `stats` but for results.
   template <typename Costs>
   std::vector<std::pair<int, typename Costs::Distance>> Probe(
       const Op& op, const Costs& costs, const Tree& query, const TedTree& view,
-      typename Costs::Distance tau, int first, ThreadPool* pool,
-      QueryStats& stats) const {
+      typename Costs::Distance tau, int first, QueryStats& stats) const {
+    using Distance = typename Costs::Distance;
     const double unit_tau = tau / costs.scale;
-    std::unique_ptr<FilterQueryContext> ctx;  // outlives Refine's DCHECK
+    std::unique_ptr<FilterQueryContext> ctx;  // outlives the DCHECK below
     std::vector<int> candidates;
     Stopwatch filter_timer;
     {
@@ -243,26 +241,9 @@ struct Engine {
     stats.edit_distance_calls = stats.candidates;
     Stopwatch refine_timer;
     const TraceSpan span(op.refine_span);
-    auto matches = Refine(costs, ctx.get(), view, candidates, tau, pool);
-    stats.refine_seconds = refine_timer.ElapsedSeconds();
-    return matches;
-  }
-
-  /// Verifies each candidate at `tau` into its own slot (views are immutable
-  /// and the kernel pure, so any pool size gives the sequential answer) and
-  /// returns the (id, distance) pairs within tau, in candidate order; a
-  /// clamped d > tau fails that test just as the full distance would.
-  template <typename Costs>
-  std::vector<std::pair<int, typename Costs::Distance>> Refine(
-      const Costs& costs, [[maybe_unused]] const FilterQueryContext* ctx,
-      const TedTree& query, const std::vector<int>& candidates,
-      typename Costs::Distance tau, ThreadPool* pool) const {
-    using Distance = typename Costs::Distance;
-    std::vector<Distance> distances(candidates.size());
-    ParallelFor(pool, static_cast<int64_t>(candidates.size()),
-                [&](int64_t c) {
-      const int id = candidates[static_cast<size_t>(c)];
-      const Distance d = costs.Verify(query, db.ted_view(id), tau);
+    std::vector<std::pair<int, Distance>> matches;
+    for (const int id : candidates) {
+      const Distance d = costs.Verify(view, db.ted_view(id), tau, stats);
 #ifndef NDEBUG
       // Theorem 3.2/3.3 as a machine-checked invariant, scaled into the cost
       // model (the slack absorbs its rounding). Valid with the bounded
@@ -274,17 +255,9 @@ struct Engine {
             << " on tree " << id;
       }
 #endif
-      distances[static_cast<size_t>(c)] = d;
-    });
-    std::vector<std::pair<int, Distance>> matches;
-    matches.reserve(static_cast<size_t>(
-        std::count_if(distances.begin(), distances.end(),
-                      [&](Distance d) { return d <= tau; })));
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      if (distances[c] <= tau) {
-        matches.emplace_back(candidates[c], distances[c]);
-      }
+      if (d <= tau) matches.emplace_back(id, d);
     }
+    stats.refine_seconds = refine_timer.ElapsedSeconds();
     return matches;
   }
 };

@@ -23,6 +23,10 @@ struct QueryStats {
   /// Threshold-bounded edit distance computations, one per candidate
   /// (range and join copy it from `candidates`, k-NN the other way).
   int64_t edit_distance_calls = 0;
+  /// Forest-matrix cells those computations filled in the banded kernel
+  /// (ted/bounded_ted.h; full-width calls add none). Exact however many
+  /// queries overlap: each query counts its own calls on its one thread.
+  int64_t ted_cells = 0;
   /// Wall-clock seconds spent computing lower bounds (filter step).
   double filter_seconds = 0.0;
   /// Wall-clock seconds spent on exact distances (refinement step).
@@ -45,6 +49,7 @@ struct QueryStats {
     results = CheckedAdd(results, other.results);
     edit_distance_calls =
         CheckedAdd(edit_distance_calls, other.edit_distance_calls);
+    ted_cells = CheckedAdd(ted_cells, other.ted_cells);
     filter_seconds += other.filter_seconds;
     refine_seconds += other.refine_seconds;
     return *this;

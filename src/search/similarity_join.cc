@@ -57,7 +57,7 @@ JoinResult SimilarityJoin::JoinImpl(const TreeDatabase& left, int tau,
     Slot& slot = slots[static_cast<size_t>(l)];
     slot.matches = engine.Probe(op, pipeline::UnitCosts{}, left.tree(l),
                                 left.ted_view(l), tau, self ? l + 1 : 0,
-                                /*pool=*/nullptr, slot.stats);
+                                slot.stats);
   });
 
   // Merge in left order. Each slot ascends by right id, so the

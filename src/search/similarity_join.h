@@ -45,11 +45,11 @@ class SimilarityJoin {
 
   /// All (l, r) with EDist(left[l], right[r]) <= tau. One path at every
   /// thread count: each left tree prepares, probes and refines into its own
-  /// result slot, over the pool's workers when given one and inline
-  /// otherwise; slots merge in left-id order, so `pairs` and every stat
-  /// except the timings are identical for any pool size. filter_seconds
-  /// (preparation and probe) and refine_seconds sum over the left trees, so
-  /// with a pool they add up worker time.
+  /// result slot on one thread, a worker of `pool` when given one and the
+  /// caller otherwise; slots merge in left-id order, so `pairs` and every
+  /// stat except the timings (ted_cells included) are identical for any
+  /// pool size. filter_seconds (preparation and probe) and refine_seconds
+  /// sum over the left trees, so with a pool they add up worker time.
   JoinResult Join(const TreeDatabase& left, int tau,
                   ThreadPool* pool = nullptr) const;
 

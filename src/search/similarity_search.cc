@@ -40,7 +40,6 @@ Op::Op(OpKind kind, const char* tag, const char* span, const char* filter_span,
     };
     queries = counter(kind == OpKind::kJoin ? ".joins" : ".queries");
     window = &registry.GetWindow(prefix + ".latency_window");
-    bounded_cells = &registry.GetCounter("ted.bounded_cells_computed");
     if (kind == OpKind::kBatch) return;  // its member queries report the rest
     refined = counter(".refined");
     results = counter(".results");
@@ -67,12 +66,11 @@ namespace {
 /// matches ordered by (distance, id).
 template <typename Result, typename Costs>
 Result RunRange(const Engine& engine, const Op& op, const Costs& costs,
-                const Tree& query, typename Costs::Distance tau,
-                ThreadPool* pool) {
+                const Tree& query, typename Costs::Distance tau) {
   const QueryScope scope(op);
   Result result;
   result.matches = engine.Probe(op, costs, query, TedTree::FromTree(query),
-                                tau, /*first=*/0, pool, result.stats);
+                                tau, /*first=*/0, result.stats);
   std::sort(result.matches.begin(), result.matches.end(),
             [](const auto& a, const auto& b) {
               return std::tie(a.second, a.first) < std::tie(b.second, b.first);
@@ -86,7 +84,7 @@ Result RunRange(const Engine& engine, const Op& op, const Costs& costs,
 /// query `query_id`, which the caller allocated on its own thread.
 template <typename Result, typename Costs>
 Result RunKnn(const Engine& engine, const Op& op, const Costs& costs,
-              const Tree& query, int k, ThreadPool* pool, int64_t query_id) {
+              const Tree& query, int k, int64_t query_id) {
   using Distance = typename Costs::Distance;
   TREESIM_CHECK_GT(k, 0);
   const QueryScope scope(op, QueryContext{query_id, op.tag});
@@ -95,17 +93,16 @@ Result RunKnn(const Engine& engine, const Op& op, const Costs& costs,
   result.stats.database_size = n;
 
   // Step 1: a lower bound for every tree (lines 1-3), in the cost model's
-  // units; the per-tree bounds are pure reads, so they fan out.
+  // units.
   Stopwatch filter_timer;
   std::vector<std::pair<double, int>> ranked(static_cast<size_t>(n));
   for (int id = 0; id < n; ++id) ranked[static_cast<size_t>(id)] = {0.0, id};
   if (engine.filter != nullptr) {
     const TraceSpan span(op.filter_span);
     const std::unique_ptr<FilterQueryContext> ctx = engine.Prepare(query);
-    ParallelFor(pool, n, [&](int64_t id) {
-      ranked[static_cast<size_t>(id)].first =
-          costs.scale * engine.filter->LowerBound(*ctx, static_cast<int>(id));
-    });
+    for (auto& [bound, id] : ranked) {
+      bound = costs.scale * engine.filter->LowerBound(*ctx, id);
+    }
     // Step 2: ascending by (bound, id) (line 4), so the most promising trees
     // are refined first and the break triggers as early as possible.
     std::sort(ranked.begin(), ranked.end());
@@ -127,7 +124,8 @@ Result RunKnn(const Engine& engine, const Op& op, const Costs& costs,
       const bool full = static_cast<int>(heap.size()) == k;
       const Distance kth = full ? heap.top().first : Costs::kUnbounded;
       if (bound > kth) break;
-      const Distance d = costs.Verify(query_view, engine.db.ted_view(id), kth);
+      const Distance d =
+          costs.Verify(query_view, engine.db.ted_view(id), kth, result.stats);
       ++result.stats.edit_distance_calls;
       // A bound above the distance would let the break drop neighbors.
       TREESIM_DCHECK_LE(bound, static_cast<double>(d) + 1e-9)
@@ -198,18 +196,16 @@ std::string SimilaritySearch::filter_name() const {
   return filter_ == nullptr ? "Sequential" : filter_->name();
 }
 
-RangeResult SimilaritySearch::Range(const Tree& query, int tau,
-                                    ThreadPool* pool) const {
+RangeResult SimilaritySearch::Range(const Tree& query, int tau) const {
   static const Op op(OpKind::kRange, "range", "search.range",
                      "search.range.filter", "search.range.refine");
   return RunRange<RangeResult>({*db_, filter_.get(), indexed_size_}, op,
-                               UnitCosts{}, query, tau, pool);
+                               UnitCosts{}, query, tau);
 }
 
-KnnResult SimilaritySearch::Knn(const Tree& query, int k,
-                                ThreadPool* pool) const {
+KnnResult SimilaritySearch::Knn(const Tree& query, int k) const {
   return RunKnn<KnnResult>({*db_, filter_.get(), indexed_size_}, KnnOp(),
-                           UnitCosts{}, query, k, pool, AllocateQueryId());
+                           UnitCosts{}, query, k, AllocateQueryId());
 }
 
 BatchKnnResult SimilaritySearch::BatchKnn(const std::vector<Tree>& queries,
@@ -227,9 +223,8 @@ BatchKnnResult SimilaritySearch::BatchKnn(const std::vector<Tree>& queries,
   out.per_query.resize(queries.size());
   ParallelFor(pool, static_cast<int64_t>(queries.size()), [&](int64_t i) {
     const size_t q = static_cast<size_t>(i);
-    out.per_query[q] = RunKnn<KnnResult>(engine, KnnOp(), UnitCosts{},
-                                         queries[q], k, /*pool=*/nullptr,
-                                         ids[q]);
+    out.per_query[q] =
+        RunKnn<KnnResult>(engine, KnnOp(), UnitCosts{}, queries[q], k, ids[q]);
   });
   for (const KnnResult& member : out.per_query) out.combined += member.stats;
   scope.Finish(k, out.combined, filter_.get(), [&](LogRecord& line) {
@@ -245,8 +240,7 @@ WeightedRangeResult SimilaritySearch::RangeWeighted(
                      "search.range_weighted.filter",
                      "search.range_weighted.refine");
   return RunRange<WeightedRangeResult>({*db_, filter_.get(), indexed_size_},
-                                       op, weighted, query, tau,
-                                       /*pool=*/nullptr);
+                                       op, weighted, query, tau);
 }
 
 WeightedKnnResult SimilaritySearch::KnnWeighted(const Tree& query, int k,
@@ -256,8 +250,7 @@ WeightedKnnResult SimilaritySearch::KnnWeighted(const Tree& query, int k,
                      "search.knn_weighted.filter",
                      "search.knn_weighted.refine");
   return RunKnn<WeightedKnnResult>({*db_, filter_.get(), indexed_size_}, op,
-                                   weighted, query, k, /*pool=*/nullptr,
-                                   AllocateQueryId());
+                                   weighted, query, k, AllocateQueryId());
 }
 
 }  // namespace treesim

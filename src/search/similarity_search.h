@@ -61,9 +61,9 @@ struct WeightedKnnResult {
 ///
 /// Every query member is const and only reads the database and the built
 /// filter, so queries never grow the index and any number of threads may
-/// query one engine at once. A pool parallelizes independent units only:
-/// a range query's candidates, a k-NN query's per-tree bounds, a batch's
-/// queries. Answers and counts are the same for any pool size.
+/// query one engine at once. A query runs on the thread that calls it; the
+/// one pool parameter, BatchKnn's, runs whole queries on its workers.
+/// Answers and counts are the same for any pool size.
 class SimilaritySearch {
  public:
   /// Builds `filter` over `db` (pass nullptr for sequential scan). `db`
@@ -78,22 +78,18 @@ class SimilaritySearch {
   SimilaritySearch& operator=(SimilaritySearch&&) = default;
 
   /// All trees with EDist(query, tree) <= tau. Filtering uses
-  /// FilterIndex::MayQualify; survivors are verified with exact TED. With a
-  /// pool, candidate verification (the dominant cost) fans out over the
-  /// workers into per-candidate slots.
-  RangeResult Range(const Tree& query, int tau,
-                    ThreadPool* pool = nullptr) const;
+  /// FilterIndex::MayQualify; survivors are verified with exact TED.
+  RangeResult Range(const Tree& query, int tau) const;
 
   /// The k nearest neighbors by exact TED, via the optimal multi-step
   /// strategy (Algorithm 2): lower bounds for every tree, then one
   /// sequential sweep in ascending bound order that verifies each tree at
   /// the k-th best distance so far and breaks at the first bound above it.
-  /// With a pool, only the per-tree bounds fan out.
-  KnnResult Knn(const Tree& query, int k, ThreadPool* pool = nullptr) const;
+  KnnResult Knn(const Tree& query, int k) const;
 
-  /// Batch k-NN: one Knn() per query, without a pool, the queries fanning
-  /// out over `pool`. `per_query` is in input order and equals what Knn()
-  /// answers for each query, stats included.
+  /// Batch k-NN: one Knn() per query, the queries fanning out over `pool`
+  /// (inline without one), each on one thread. `per_query` is in input
+  /// order and equals what Knn() answers for each query, stats included.
   BatchKnnResult BatchKnn(const std::vector<Tree>& queries, int k,
                           ThreadPool* pool = nullptr) const;
 

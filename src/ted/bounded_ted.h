@@ -1,6 +1,8 @@
 #ifndef TREESIM_TED_BOUNDED_TED_H_
 #define TREESIM_TED_BOUNDED_TED_H_
 
+#include <cstdint>
+
 #include "ted/cost_model.h"
 #include "ted/zhang_shasha.h"
 #include "tree/tree.h"
@@ -32,7 +34,12 @@ namespace treesim {
 /// the band would exclude less than half of the root forest matrix (wide
 /// tau on small trees) the call runs the full-width recurrence and clamps
 /// instead — the contract above is unchanged.
-int BoundedTreeEditDistance(const TedTree& t1, const TedTree& t2, int tau);
+///
+/// A banded call adds the forest-matrix cells it computed to `*cells`, when
+/// given, as it does to the process-wide ted.bounded_cells_computed; early
+/// returns and full-width runs add nothing to either.
+int BoundedTreeEditDistance(const TedTree& t1, const TedTree& t2, int tau,
+                            int64_t* cells = nullptr);
 
 /// Convenience overload; builds both views (including mirrors) internally.
 int BoundedTreeEditDistance(const Tree& t1, const Tree& t2, int tau);
@@ -45,9 +52,11 @@ int BoundedTreeEditDistance(const Tree& t1, const Tree& t2, int tau);
 /// call runs the full-width one because the band covers every diagonal or
 /// would prune too little to pay for itself.
 /// Negative and NaN thresholds reject everything with +infinity. The band
-/// is scaled by costs.MinOperationCost(), which must be positive.
+/// is scaled by costs.MinOperationCost(), which must be positive. `cells`
+/// counts a banded call's cells as in the unit-cost verifier.
 double BoundedTreeEditDistanceWeighted(const TedTree& t1, const TedTree& t2,
-                                       double tau, const CostModel& costs);
+                                       double tau, const CostModel& costs,
+                                       int64_t* cells = nullptr);
 
 }  // namespace treesim
 

@@ -262,14 +262,17 @@ bool BandExcludesEnough(int n1, int n2, int band) {
 }
 
 /// Pruning telemetry for one banded call, counted locally (no atomics in
-/// the DP loops) and published once. Each keyroot pair's forest matrix is
+/// the DP loops) and published once: to the registry, and to the caller's
+/// `cells` when given. Each keyroot pair's forest matrix is
 /// (k1 - lml(k1) + 1) x (k2 - lml(k2) + 1), so the full-width kernel would
 /// compute the product of the two views' keyroot weights.
-void PublishCells(const TedTree& t1, const TedTree& t2, int64_t computed) {
+void PublishCells(const TedTree& t1, const TedTree& t2, int64_t computed,
+                  int64_t* cells) {
   TREESIM_COUNTER_ADD("ted.bounded_cells_computed", computed);
   TREESIM_COUNTER_ADD(
       "ted.bounded_cells_band_pruned",
       CheckedMul(t1.keyroot_weight, t2.keyroot_weight) - computed);
+  if (cells != nullptr) *cells = CheckedAdd(*cells, computed);
 }
 
 }  // namespace
@@ -305,7 +308,7 @@ double TREESIM_HOT TreeEditDistanceWeighted(const TedTree& t1,
 }
 
 int TREESIM_HOT BoundedTreeEditDistance(const TedTree& t1, const TedTree& t2,
-                                        int tau) {
+                                        int tau, int64_t* cells) {
   TREESIM_COUNTER_INC("ted.bounded_calls");
   const int n1 = t1.size();
   const int n2 = t2.size();
@@ -329,11 +332,11 @@ int TREESIM_HOT BoundedTreeEditDistance(const TedTree& t1, const TedTree& t2,
   const TedTree* a = &t1;
   const TedTree* b = &t2;
   ChooseOrientation(a, b);
-  int64_t cells = 0;
+  int64_t computed = 0;
   const int d = ZhangShashaImpl<true>(*a, *b, UnitCosts{}, /*band=*/tau,
-                                      /*cap=*/tau + 1, &cells)
+                                      /*cap=*/tau + 1, &computed)
                     .back();
-  PublishCells(*a, *b, cells);
+  PublishCells(*a, *b, computed, cells);
   // The one clamp: a value above tau is >= tau + 1 by the kernel invariant.
   return std::min(d, tau + 1);
 }
@@ -346,7 +349,8 @@ int BoundedTreeEditDistance(const Tree& t1, const Tree& t2, int tau) {
 double TREESIM_HOT BoundedTreeEditDistanceWeighted(const TedTree& t1,
                                                    const TedTree& t2,
                                                    double tau,
-                                                   const CostModel& costs) {
+                                                   const CostModel& costs,
+                                                   int64_t* cells) {
   TREESIM_COUNTER_INC("ted.bounded_weighted_calls");
   const double c_min = costs.MinOperationCost();
   TREESIM_CHECK_GT(c_min, 0.0) << "MinOperationCost must be positive";
@@ -384,12 +388,12 @@ double TREESIM_HOT BoundedTreeEditDistanceWeighted(const TedTree& t1,
   // The exact <= tau values must match TreeEditDistanceWeighted to the ulp
   // so rewired call sites stay byte-identical. Unclamped, a rejected
   // call's value is some value > tau (+infinity or finite).
-  int64_t cells = 0;
+  int64_t computed = 0;
   const double d =
       ZhangShashaImpl<true>(t1, t2, ModelCosts{costs}, band, /*cap=*/inf,
-                            &cells)
+                            &computed)
           .back();
-  PublishCells(t1, t2, cells);
+  PublishCells(t1, t2, computed, cells);
   return d;
 }
 

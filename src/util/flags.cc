@@ -1,6 +1,9 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
+
+#include "util/logging.h"
 
 namespace treesim {
 
@@ -31,20 +34,36 @@ std::string FlagParser::GetString(const std::string& key,
   return it == values_.end() ? def : it->second;
 }
 
+namespace {
+
+/// A present value must parse in full and in range: a typo such as
+/// `--queries=1O` stops the program rather than running the default.
+void CheckParsed(const std::string& key, const std::string& text,
+                 const char* end) {
+  TREESIM_CHECK(*end == '\0' && errno != ERANGE)
+      << "--" << key << "=" << text << " is not a valid number";
+}
+
+}  // namespace
+
 int64_t FlagParser::GetInt(const std::string& key, int64_t def) const {
   auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return def;
   char* end = nullptr;
+  errno = 0;
   const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : def;
+  CheckParsed(key, it->second, end);
+  return v;
 }
 
 double FlagParser::GetDouble(const std::string& key, double def) const {
   auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return def;
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
-  return (end != nullptr && *end == '\0') ? v : def;
+  CheckParsed(key, it->second, end);
+  return v;
 }
 
 bool FlagParser::GetBool(const std::string& key, bool def) const {

@@ -25,10 +25,13 @@ class FlagParser {
   /// String value of `--key=value`, or `def` when absent.
   std::string GetString(const std::string& key, const std::string& def) const;
 
-  /// Integer value of `--key=value`, or `def` when absent or unparsable.
+  /// Integer value of `--key=value`, or `def` when absent or given without
+  /// a value. A value that does not parse in full (`--queries=1O`) or lies
+  /// out of range is a TREESIM_CHECK failure naming the flag and value.
   int64_t GetInt(const std::string& key, int64_t def) const;
 
-  /// Real value of `--key=value`, or `def` when absent or unparsable.
+  /// Real value of `--key=value`, or `def` when absent or given without a
+  /// value; a value that does not parse in full is fatal, as in GetInt.
   double GetDouble(const std::string& key, double def) const;
 
   /// Boolean flag: `--key`, `--key=true|false|1|0`. Absent -> `def`.

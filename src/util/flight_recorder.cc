@@ -26,7 +26,7 @@ struct FlightRecorder::Slot {
   std::atomic<int64_t> filter_micros{0};
   std::atomic<int64_t> refine_micros{0};
   std::atomic<int64_t> total_micros{0};
-  std::atomic<int64_t> bounded_cells_delta{0};
+  std::atomic<int64_t> bounded_cells{0};
   std::atomic<int64_t> slow{0};
 };
 
@@ -59,8 +59,7 @@ bool ReadSlot(const FlightRecorder::Slot& s, int64_t ticket,
   out->filter_micros = s.filter_micros.load(std::memory_order_relaxed);
   out->refine_micros = s.refine_micros.load(std::memory_order_relaxed);
   out->total_micros = s.total_micros.load(std::memory_order_relaxed);
-  out->bounded_cells_delta =
-      s.bounded_cells_delta.load(std::memory_order_relaxed);
+  out->bounded_cells = s.bounded_cells.load(std::memory_order_relaxed);
   out->slow = s.slow.load(std::memory_order_relaxed) != 0;
   std::atomic_thread_fence(std::memory_order_acquire);
   return s.seq.load(std::memory_order_relaxed) == expected;
@@ -119,8 +118,7 @@ void FlightRecorder::Record(const FlightRecord& rec) {
   s.filter_micros.store(rec.filter_micros, std::memory_order_relaxed);
   s.refine_micros.store(rec.refine_micros, std::memory_order_relaxed);
   s.total_micros.store(rec.total_micros, std::memory_order_relaxed);
-  s.bounded_cells_delta.store(rec.bounded_cells_delta,
-                              std::memory_order_relaxed);
+  s.bounded_cells.store(rec.bounded_cells, std::memory_order_relaxed);
   s.slow.store(rec.slow ? 1 : 0, std::memory_order_relaxed);
   s.seq.store(2 * static_cast<uint64_t>(ticket) + 2,
               std::memory_order_release);

@@ -23,9 +23,10 @@ struct FlightRecord {
   int64_t filter_micros = 0;
   int64_t refine_micros = 0;
   int64_t total_micros = 0;
-  /// Delta of ted.bounded_cells_computed across this query. Approximate
-  /// when queries overlap in one process (the counter is process-wide).
-  int64_t bounded_cells_delta = 0;
+  /// Banded TED cells this query computed (QueryStats::ted_cells): its
+  /// exact share of ted.bounded_cells_computed, however many queries
+  /// overlap. A batch or join sums its members' or left trees'.
+  int64_t bounded_cells = 0;
   bool slow = false;         ///< StructuredLog::IsSlow(total_micros)
 };
 

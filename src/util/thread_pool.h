@@ -13,11 +13,11 @@ namespace treesim {
 
 /// A fixed pool of worker threads with a shared FIFO queue — the one place
 /// in the library that spawns threads. No work stealing, no growing: the
-/// parallel layers (pairwise matrix rows, range candidates, k-NN bounds,
-/// batch k-NN queries, join left trees) all reduce to ParallelFor over
-/// disjoint output slots, for which a single queue plus a shared atomic
-/// index counter is both simpler and provably deterministic. Guarded state is annotated for Clang's
-/// -Wthread-safety analysis (see util/sync.h).
+/// parallel layers map whole units (pairwise matrix rows, batch k-NN
+/// queries, join left trees), each with ParallelFor over disjoint output
+/// slots, for which a single queue plus a shared atomic index counter is
+/// both simpler and provably deterministic. Guarded state is annotated for
+/// Clang's -Wthread-safety analysis (see util/sync.h).
 class ThreadPool {
  public:
   /// Spawns `threads` workers (>= 1). The pool never resizes.

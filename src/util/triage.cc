@@ -195,7 +195,7 @@ void WriteDumpToFd(int fd, const char* reason) {
     WriteField(fd, "filter_us", r.filter_micros);
     WriteField(fd, "refine_us", r.refine_micros);
     WriteField(fd, "total_us", r.total_micros);
-    WriteField(fd, "bounded_cells", r.bounded_cells_delta);
+    WriteField(fd, "bounded_cells", r.bounded_cells);
     WriteField(fd, "slow", r.slow ? 1 : 0);
     WriteField(fd, "ts", r.ts_micros);
     WriteStr(fd, "\n");

@@ -52,19 +52,21 @@ TEST(QueryStatsJsonTest, AllCountersPresentAndNonNegative) {
   stats.database_size = 100;
   stats.candidates = 40;
   stats.edit_distance_calls = 38;
+  stats.ted_cells = 1200;
   stats.results = 7;
   stats.filter_seconds = 0.25;
   stats.refine_seconds = 0.5;
   JsonValue doc;
   ASSERT_TRUE(ParseJson(QueryStatsJson(stats), &doc));
   for (const char* key :
-       {"database_size", "candidates", "edit_distance_calls", "results",
-        "filter_seconds", "refine_seconds", "accessed_fraction"}) {
+       {"database_size", "candidates", "edit_distance_calls", "ted_cells",
+        "results", "filter_seconds", "refine_seconds", "accessed_fraction"}) {
     ASSERT_TRUE(doc.Has(key)) << key;
     EXPECT_GE(doc.Find(key)->number_value, 0) << key;
   }
   EXPECT_EQ(doc.Find("candidates")->number_value, 40);
   EXPECT_EQ(doc.Find("edit_distance_calls")->number_value, 38);
+  EXPECT_EQ(doc.Find("ted_cells")->number_value, 1200);
 }
 
 TEST(BenchReportTest, CanonicalSchemaRoundTrips) {

@@ -38,10 +38,21 @@ TEST(FlagParserTest, BoolForms) {
   EXPECT_FALSE(f.GetBool("e", true));
 }
 
-TEST(FlagParserTest, UnparsableFallsBackToDefault) {
-  FlagParser f = Parse({"--n=abc", "--x=1.2.3"});
-  EXPECT_EQ(f.GetInt("n", -1), -1);
-  EXPECT_DOUBLE_EQ(f.GetDouble("x", -2.0), -2.0);
+TEST(FlagParserDeathTest, UnparsableIntStopsNamingTheFlag) {
+  // A typo must not run the default: `--queries=1O` would run 10 queries.
+  FlagParser f = Parse({"--queries=1O", "--n=abc", "--big=99999999999999999999",
+                        "--empty="});
+  EXPECT_DEATH((void)f.GetInt("queries", 10), "--queries=1O");
+  EXPECT_DEATH((void)f.GetInt("n", -1), "--n=abc");
+  EXPECT_DEATH((void)f.GetInt("big", 0), "--big=99999999999999999999");
+  EXPECT_EQ(f.GetInt("empty", 7), 7);  // given without a value
+}
+
+TEST(FlagParserDeathTest, UnparsableDoubleStopsNamingTheFlag) {
+  FlagParser f = Parse({"--seconds=3O", "--x=1.2.3", "--huge=1e999"});
+  EXPECT_DEATH((void)f.GetDouble("seconds", 10.0), "--seconds=3O");
+  EXPECT_DEATH((void)f.GetDouble("x", -2.0), "--x=1.2.3");
+  EXPECT_DEATH((void)f.GetDouble("huge", 0.0), "--huge=1e999");
 }
 
 TEST(FlagParserTest, PositionalArguments) {

@@ -246,5 +246,67 @@ TEST_F(FlightRecorderTest, BatchMemberIdsFollowQueryOrderAtAnyPoolSize) {
   }
 }
 
+TEST_F(FlightRecorderTest, BatchMembersCountExactlyTheirOwnBandedCells) {
+  // Each member of a batch runs on one thread and counts the cells of its
+  // own banded verifier calls, so at any pool size the member records sum
+  // exactly to the process-wide ted.bounded_cells_computed delta, and every
+  // member reads what it reads inline. Unfiltered k=1 over 40-node trees
+  // drawn from the database: once a query meets its own tree, every later
+  // tree is verified banded at tau=0.
+  if (!kMetricsEnabled) GTEST_SKIP() << "TREESIM_METRICS=OFF";
+  auto labels = std::make_shared<LabelDictionary>();
+  const std::vector<LabelId> pool = testing::MakeLabelPool(labels, 4);
+  Rng rng(79);
+  TreeDatabase db(labels);
+  for (int i = 0; i < 300; ++i) {
+    db.Add(testing::RandomTree(40, pool, labels, rng));
+  }
+  std::vector<Tree> queries;
+  for (int i = 0; i < 16; ++i) queries.push_back(db.tree(i * 17));
+  const SimilaritySearch search(&db, nullptr);
+  const auto global_cells = [] {
+    return MetricsRegistry::Global().Snapshot().counter(
+        "ted.bounded_cells_computed");
+  };
+  ThreadPool workers(4);
+  std::vector<int64_t> inline_cells;
+  for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &workers}) {
+    const char* where = threads == nullptr ? "inline" : "pooled";
+    FlightRecorder::Global().ResetForTest();
+    const int64_t before = global_cells();
+    const BatchKnnResult batch = search.BatchKnn(queries, 1, threads);
+    const int64_t delta = global_cells() - before;
+    const std::vector<FlightRecord> records =
+        FlightRecorder::Global().Snapshot();
+    ASSERT_EQ(records.size(), queries.size() + 1) << where;
+    int64_t batch_id = 0;
+    int64_t batch_cells = -1;
+    for (const FlightRecord& rec : records) {
+      if (std::string(rec.op) != "batch_knn") continue;
+      batch_id = rec.query_id;
+      batch_cells = rec.bounded_cells;
+    }
+    std::vector<int64_t> member_cells(queries.size(), -1);
+    int64_t member_sum = 0;
+    for (const FlightRecord& rec : records) {
+      if (std::string(rec.op) != "knn") continue;
+      const int64_t member = rec.query_id - batch_id - 1;
+      ASSERT_GE(member, 0) << where;
+      ASSERT_LT(member, static_cast<int64_t>(queries.size())) << where;
+      member_cells[static_cast<size_t>(member)] = rec.bounded_cells;
+      member_sum += rec.bounded_cells;
+    }
+    EXPECT_GT(delta, 0) << where;
+    EXPECT_EQ(member_sum, delta) << where;
+    EXPECT_EQ(batch_cells, delta) << where;
+    EXPECT_EQ(batch.combined.ted_cells, delta) << where;
+    if (threads == nullptr) {
+      inline_cells = member_cells;
+    } else {
+      EXPECT_EQ(member_cells, inline_cells);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace treesim

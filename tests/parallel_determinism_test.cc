@@ -1,8 +1,9 @@
 // Pins the determinism contract of every pool-aware layer: with any worker
 // count, results and stats counts are identical to the sequential path —
-// parallelism may only change wall-clock time. Also pins that queries only
-// read the engine: they leave the index as built, and concurrent queries on
-// one engine answer as sequential ones do.
+// parallelism may only change wall-clock time. A pool runs whole units
+// (queries, left trees, matrix rows), so range and k-NN are checked as
+// queries running concurrently on one engine. Also pins that queries only
+// read the engine: they leave the index as built.
 #include <memory>
 #include <string>
 #include <tuple>
@@ -29,7 +30,18 @@ constexpr int kWorkers = 8;
 /// Every count of `stats`, that is all but the timings.
 std::vector<int64_t> Counts(const QueryStats& stats) {
   return {stats.database_size, stats.candidates, stats.results,
-          stats.edit_distance_calls};
+          stats.edit_distance_calls, stats.ted_cells};
+}
+
+/// `ask(i)` for i in [0, n), concurrently over `pool`'s workers, each
+/// answer in its own slot.
+template <typename Ask>
+auto ConcurrentAnswers(ThreadPool& pool, int n, const Ask& ask) {
+  std::vector<decltype(ask(0))> out(static_cast<size_t>(n));
+  pool.ParallelFor(n, [&](int64_t i) {
+    out[static_cast<size_t>(i)] = ask(static_cast<int>(i));
+  });
+  return out;
 }
 
 std::unique_ptr<TreeDatabase> SeededDb(int count, uint64_t seed,
@@ -88,20 +100,19 @@ TEST(ParallelDeterminismTest, RangeQueryIdentical) {
   auto db = SeededDb(80, 2031);
   ThreadPool pool(kWorkers);
   for (const bool filtered : {false, true}) {
-    SimilaritySearch seq(
-        db.get(), filtered ? std::make_unique<BiBranchFilter>() : nullptr);
-    SimilaritySearch par(
+    const SimilaritySearch engine(
         db.get(), filtered ? std::make_unique<BiBranchFilter>() : nullptr);
     for (const int tau : {0, 2, 5}) {
+      const std::vector<RangeResult> got =
+          ConcurrentAnswers(pool, 5, [&](int qi) {
+            return engine.Range(db->tree(qi * 7), tau);
+          });
       for (int qi = 0; qi < 5; ++qi) {
-        const Tree& query = db->tree(qi * 7);
-        const RangeResult s = seq.Range(query, tau, nullptr);
-        const RangeResult p = par.Range(query, tau, &pool);
+        const RangeResult s = engine.Range(db->tree(qi * 7), tau);
+        const RangeResult& p = got[static_cast<size_t>(qi)];
         EXPECT_EQ(p.matches, s.matches) << "tau=" << tau;
-        // Range refines the same candidate set either way, so even the
-        // counters must agree.
-        EXPECT_EQ(p.stats.edit_distance_calls, s.stats.edit_distance_calls);
-        EXPECT_EQ(p.stats.candidates, s.stats.candidates);
+        // Each query counts its own work, so even the counters must agree.
+        EXPECT_EQ(Counts(p.stats), Counts(s.stats)) << "tau=" << tau;
       }
     }
   }
@@ -110,16 +121,16 @@ TEST(ParallelDeterminismTest, RangeQueryIdentical) {
 TEST(ParallelDeterminismTest, KnnIdenticalNeighbors) {
   auto db = SeededDb(80, 2033);
   ThreadPool pool(kWorkers);
+  std::vector<Tree> queries;
+  for (int qi = 0; qi < 5; ++qi) queries.push_back(db->tree(qi * 11));
   for (const bool filtered : {false, true}) {
-    SimilaritySearch seq(
-        db.get(), filtered ? std::make_unique<BiBranchFilter>() : nullptr);
-    SimilaritySearch par(
+    const SimilaritySearch engine(
         db.get(), filtered ? std::make_unique<BiBranchFilter>() : nullptr);
     for (const int k : {1, 3, 10, 200 /* > |D| */}) {
-      for (int qi = 0; qi < 5; ++qi) {
-        const Tree& query = db->tree(qi * 11);
-        const KnnResult s = seq.Knn(query, k, nullptr);
-        const KnnResult p = par.Knn(query, k, &pool);
+      const BatchKnnResult batch = engine.BatchKnn(queries, k, &pool);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const KnnResult s = engine.Knn(queries[qi], k);
+        const KnnResult& p = batch.per_query[qi];
         EXPECT_EQ(p.neighbors, s.neighbors)
             << "k=" << k << " filtered=" << filtered;
         EXPECT_EQ(Counts(p.stats), Counts(s.stats))
@@ -142,7 +153,7 @@ TEST(ParallelDeterminismTest, BatchKnnMatchesSequentialKnn) {
   ASSERT_EQ(batch.per_query.size(), queries.size());
   int64_t results = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const KnnResult s = seq.Knn(queries[qi], k, nullptr);
+    const KnnResult s = seq.Knn(queries[qi], k);
     EXPECT_EQ(batch.per_query[qi].neighbors, s.neighbors) << "query " << qi;
     EXPECT_EQ(Counts(batch.per_query[qi].stats), Counts(s.stats))
         << "query " << qi;
@@ -178,14 +189,12 @@ TEST(ParallelDeterminismTest, JoinAndSelfJoinIdentical) {
       const JoinResult s = seq.Join(*left, tau, nullptr);
       const JoinResult p = par.Join(*left, tau, &pool);
       EXPECT_EQ(p.pairs, s.pairs) << "tau=" << tau;
-      EXPECT_EQ(p.stats.candidates, s.stats.candidates);
-      EXPECT_EQ(p.stats.edit_distance_calls, s.stats.edit_distance_calls);
-      EXPECT_EQ(p.stats.database_size, s.stats.database_size);
+      EXPECT_EQ(Counts(p.stats), Counts(s.stats)) << "tau=" << tau;
 
       const JoinResult ss = seq.SelfJoin(tau, nullptr);
       const JoinResult ps = par.SelfJoin(tau, &pool);
       EXPECT_EQ(ps.pairs, ss.pairs) << "self tau=" << tau;
-      EXPECT_EQ(ps.stats.edit_distance_calls, ss.stats.edit_distance_calls);
+      EXPECT_EQ(Counts(ps.stats), Counts(ss.stats)) << "self tau=" << tau;
     }
   }
 }
@@ -195,8 +204,8 @@ TEST(ParallelDeterminismTest, BoundedKnnDeterministicUnderTies) {
   // candidates clamped at tau_b + 1 must lose every heap-insert tie-break
   // exactly like their true distance would. A tiny label pool over small
   // trees makes most distances collide at the kth value, so any tie
-  // mishandling flips a neighbor id. Repeats vary the interleaving of the
-  // pooled bounds.
+  // mishandling flips a neighbor id. Repeats vary which worker runs which
+  // query of the pooled batch.
   auto dict = std::make_shared<LabelDictionary>();
   auto db = std::make_unique<TreeDatabase>(dict);
   const std::vector<LabelId> pool_ids = MakeLabelPool(dict, 2);
@@ -205,18 +214,22 @@ TEST(ParallelDeterminismTest, BoundedKnnDeterministicUnderTies) {
     db->Add(RandomTree(rng.UniformInt(2, 6), pool_ids, dict, rng));
   }
   ThreadPool pool(kWorkers);
+  std::vector<Tree> queries;
+  for (int qi = 0; qi < 4; ++qi) queries.push_back(db->tree(qi * 17));
   for (const bool filtered : {false, true}) {
-    SimilaritySearch seq(
-        db.get(), filtered ? std::make_unique<BiBranchFilter>() : nullptr);
-    SimilaritySearch par(
+    const SimilaritySearch engine(
         db.get(), filtered ? std::make_unique<BiBranchFilter>() : nullptr);
     for (const int k : {1, 5, 40, 120 /* == |D| */}) {
-      for (int qi = 0; qi < 4; ++qi) {
-        const Tree& query = db->tree(qi * 17);
-        const KnnResult s = seq.Knn(query, k, nullptr);
-        for (int repeat = 0; repeat < 3; ++repeat) {
-          const KnnResult p = par.Knn(query, k, &pool);
-          ASSERT_EQ(p.neighbors, s.neighbors)
+      std::vector<KnnResult> expected;
+      for (const Tree& query : queries) expected.push_back(engine.Knn(query, k));
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        const BatchKnnResult batch = engine.BatchKnn(queries, k, &pool);
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          ASSERT_EQ(batch.per_query[qi].neighbors, expected[qi].neighbors)
+              << "k=" << k << " filtered=" << filtered
+              << " repeat=" << repeat;
+          ASSERT_EQ(Counts(batch.per_query[qi].stats),
+                    Counts(expected[qi].stats))
               << "k=" << k << " filtered=" << filtered
               << " repeat=" << repeat;
         }
@@ -237,14 +250,17 @@ TEST(ParallelDeterminismTest, BoundedRangeAndJoinDeterministicUnderTies) {
     db->Add(RandomTree(rng.UniformInt(2, 6), pool_ids, dict, rng));
   }
   ThreadPool pool(kWorkers);
-  SimilaritySearch seq(db.get(), std::make_unique<BiBranchFilter>());
-  SimilaritySearch par(db.get(), std::make_unique<BiBranchFilter>());
+  const SimilaritySearch engine(db.get(), std::make_unique<BiBranchFilter>());
   for (const int tau : {0, 1, 3}) {
+    const std::vector<RangeResult> got =
+        ConcurrentAnswers(pool, 4, [&](int qi) {
+          return engine.Range(db->tree(qi * 13), tau);
+        });
     for (int qi = 0; qi < 4; ++qi) {
-      const Tree& query = db->tree(qi * 13);
-      const RangeResult s = seq.Range(query, tau, nullptr);
-      const RangeResult p = par.Range(query, tau, &pool);
+      const RangeResult s = engine.Range(db->tree(qi * 13), tau);
+      const RangeResult& p = got[static_cast<size_t>(qi)];
       EXPECT_EQ(p.matches, s.matches) << "tau=" << tau;
+      EXPECT_EQ(Counts(p.stats), Counts(s.stats)) << "tau=" << tau;
       for (const auto& [id, d] : p.matches) EXPECT_LE(d, tau);
     }
     SimilarityJoin jseq(db.get(), std::make_unique<BiBranchFilter>());
@@ -252,7 +268,7 @@ TEST(ParallelDeterminismTest, BoundedRangeAndJoinDeterministicUnderTies) {
     const JoinResult s = jseq.SelfJoin(tau, nullptr);
     const JoinResult p = jpar.SelfJoin(tau, &pool);
     EXPECT_EQ(p.pairs, s.pairs) << "tau=" << tau;
-    EXPECT_EQ(p.stats.edit_distance_calls, s.stats.edit_distance_calls);
+    EXPECT_EQ(Counts(p.stats), Counts(s.stats)) << "tau=" << tau;
   }
 }
 
@@ -296,7 +312,7 @@ TEST(ParallelDeterminismTest, QueriesLeaveTheBranchDictionaryUnchanged) {
   for (const Tree& query : queries) {
     EXPECT_EQ(search.Range(query, 3).matches,
               plain_search.Range(query, 3).matches);
-    EXPECT_EQ(search.Knn(query, 4, &pool).neighbors,
+    EXPECT_EQ(search.Knn(query, 4).neighbors,
               plain_search.Knn(query, 4).neighbors);
   }
   const BatchKnnResult batch = search.BatchKnn(queries, 4, &pool);
@@ -331,20 +347,29 @@ TEST(ParallelDeterminismTest, ConcurrentQueriesOnOneEngineMatchSequential) {
   struct Answers {
     std::vector<std::vector<std::pair<int, int>>> lists;
     std::vector<std::tuple<int, int, int>> join;
+    std::vector<std::vector<int64_t>> counts;  ///< per answer, join last
   };
   // One client's mix; clients start at different queries.
   const auto ask = [&](int client, ThreadPool* pool) {
     Answers out;
+    const auto keep = [&out](const auto& ids, const QueryStats& stats) {
+      out.lists.push_back(ids);
+      out.counts.push_back(Counts(stats));
+    };
     for (size_t i = 0; i < queries.size(); ++i) {
       const Tree& query =
           queries[(i + static_cast<size_t>(client)) % queries.size()];
-      out.lists.push_back(search.Range(query, 3).matches);
-      out.lists.push_back(search.Knn(query, 3).neighbors);
+      const RangeResult range = search.Range(query, 3);
+      keep(range.matches, range.stats);
+      const KnnResult knn = search.Knn(query, 3);
+      keep(knn.neighbors, knn.stats);
     }
     for (const KnnResult& r : search.BatchKnn(queries, 4, pool).per_query) {
-      out.lists.push_back(r.neighbors);
+      keep(r.neighbors, r.stats);
     }
-    out.join = join.Join(*left, 2, pool).pairs;
+    const JoinResult joined = join.Join(*left, 2, pool);
+    out.join = joined.pairs;
+    out.counts.push_back(Counts(joined.stats));
     return out;
   };
   std::vector<Answers> got(kWorkers);
@@ -358,6 +383,8 @@ TEST(ParallelDeterminismTest, ConcurrentQueriesOnOneEngineMatchSequential) {
     EXPECT_EQ(got[static_cast<size_t>(client)].lists, expected.lists)
         << client;
     EXPECT_EQ(got[static_cast<size_t>(client)].join, expected.join) << client;
+    EXPECT_EQ(got[static_cast<size_t>(client)].counts, expected.counts)
+        << client;
   }
   EXPECT_EQ(dict.size(), built_size);
 }
@@ -368,9 +395,11 @@ TEST(ParallelDeterminismTest, TinyInputsTakeTheSequentialPath) {
   auto db = SeededDb(2, 2041);
   ThreadPool pool(kWorkers);
   SimilaritySearch engine(db.get(), std::make_unique<BiBranchFilter>());
-  const KnnResult s = engine.Knn(db->tree(0), 1, nullptr);
-  const KnnResult p = engine.Knn(db->tree(0), 1, &pool);
-  EXPECT_EQ(p.neighbors, s.neighbors);
+  const KnnResult s = engine.Knn(db->tree(0), 1);
+  const BatchKnnResult p = engine.BatchKnn({db->tree(0)}, 1, &pool);
+  ASSERT_EQ(p.per_query.size(), 1u);
+  EXPECT_EQ(p.per_query[0].neighbors, s.neighbors);
+  EXPECT_EQ(Counts(p.combined), Counts(s.stats));
 
   const PairwiseDistances one =
       ComputePairwiseDistances(*SeededDb(1, 2043), kWorkers);

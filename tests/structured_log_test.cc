@@ -102,9 +102,10 @@ TEST(StructuredLogTest, DisabledSinkWritesNothing) {
 // The required key set for every engine-emitted record (the contract
 // DESIGN.md documents); "tau"/"k" are event-specific and checked per event.
 const char* const kRequiredKeys[] = {
-    "ts_micros", "event",         "query_id",     "filter",
-    "database_size", "candidates", "refined",     "results",
-    "filter_micros", "refine_micros", "total_micros", "slow"};
+    "ts_micros",     "event",         "query_id",     "filter",
+    "database_size", "candidates",    "refined",      "results",
+    "filter_micros", "refine_micros", "total_micros", "bounded_cells",
+    "slow"};
 
 void ValidateQueryRecord(const std::string& line) {
   JsonValue doc;
@@ -127,6 +128,7 @@ void ValidateQueryRecord(const std::string& line) {
   EXPECT_GE(doc.Find("filter_micros")->number_value, 0);
   EXPECT_GE(doc.Find("refine_micros")->number_value, 0);
   EXPECT_GE(doc.Find("total_micros")->number_value, 0);
+  EXPECT_GE(doc.Find("bounded_cells")->number_value, 0);
   EXPECT_GE(doc.Find("query_id")->number_value, 0);
   EXPECT_TRUE(doc.Find("slow")->is_bool());
 }

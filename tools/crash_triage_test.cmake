@@ -34,7 +34,7 @@ if(METRICS)
   execute_process(
     COMMAND ${CLI} knn --data=${data}
       "--query=article{author{auth0} title{ttl1} year{y0} journal{venue0}}"
-      --k=3 --threads=4
+      --k=3
       --flight-recorder=4
       --trace=${TMP}/trace.json
       --query-log=${TMP}/qlog.jsonl

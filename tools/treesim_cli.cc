@@ -73,15 +73,16 @@ int Usage() {
                "  patch    --a=TREE --b=TREE   (minimal operation sequence "
                "a -> b)\n"
                "  range    --data=FILE --query=TREE --tau=N "
-               "[--filter=bibranch|histo|seq|none] [--threads=1]\n"
+               "[--filter=bibranch|histo|seq|none]\n"
                "  knn      --data=FILE --query=TREE --k=N "
-               "[--filter=bibranch|histo|seq|none] [--threads=1]\n"
+               "[--filter=bibranch|histo|seq|none]\n"
                "  join     --data=FILE --tau=N [--filter=...] [--threads=1]\n"
                "  cluster  --data=FILE --k=N [--seed=1]\n"
                "\n"
                "TREE arguments use bracket notation, e.g. 'a{b{c d} e}'.\n"
-               "--threads=0 uses every hardware thread; results are\n"
-               "identical for any thread count.\n"
+               "range and knn run one query on one thread. join's\n"
+               "--threads=N probes left trees on N workers (0 = every\n"
+               "hardware thread); results are identical for any count.\n"
                "\n"
                "observability (any command):\n"
                "  --metrics=text|json|prometheus\n"
@@ -199,9 +200,9 @@ StatusOr<double> RealFlag(const FlagParser& flags, const std::string& key,
   return value;
 }
 
-/// Pool for `--threads=N` (0 = every hardware thread). Holds nullptr — the
-/// engines' sequential path — when one worker would be enough for `items`
-/// units of work.
+/// Pool for join's `--threads=N` (0 = every hardware thread). Holds
+/// nullptr — the join's inline path — when one worker would be enough for
+/// `items` units of work.
 StatusOr<std::unique_ptr<ThreadPool>> MakePool(const FlagParser& flags,
                                                int64_t items) {
   const StatusOr<int> threads = IntFlag(flags, "threads", 1, 0, kIntMax);
@@ -394,12 +395,10 @@ int CmdRange(const FlagParser& flags) {
   const StatusOr<int> tau_or = IntFlag(flags, "tau", 2, 0, kIntMax);
   if (!tau_or.ok()) return Fail(tau_or.status());
   const int tau = *tau_or;
-  const auto pool = MakePool(flags, (*db_or)->size());
-  if (!pool.ok()) return Fail(pool.status());
 
   SimilaritySearch engine(db_or->get(),
                           MakeFilter(flags.GetString("filter", "bibranch")));
-  const RangeResult r = engine.Range(*query_or, tau, pool->get());
+  const RangeResult r = engine.Range(*query_or, tau);
   std::printf("%zu matches within distance %d (%s refined %lld/%lld, "
               "%.1f ms filter + %.1f ms refine)\n",
               r.matches.size(), tau, engine.filter_name().c_str(),
@@ -421,12 +420,10 @@ int CmdKnn(const FlagParser& flags) {
   if (!query_or.ok()) return Fail(query_or.status());
   const StatusOr<int> k = IntFlag(flags, "k", 5, 1, kIntMax);
   if (!k.ok()) return Fail(k.status());
-  const auto pool = MakePool(flags, (*db_or)->size());
-  if (!pool.ok()) return Fail(pool.status());
 
   SimilaritySearch engine(db_or->get(),
                           MakeFilter(flags.GetString("filter", "bibranch")));
-  const KnnResult r = engine.Knn(*query_or, *k, pool->get());
+  const KnnResult r = engine.Knn(*query_or, *k);
   std::printf("%d nearest neighbors (%s refined %lld/%lld)\n",
               static_cast<int>(r.neighbors.size()),
               engine.filter_name().c_str(),
@@ -670,7 +667,7 @@ void DumpFlightRecorder() {
                 static_cast<long long>(r.filter_micros),
                 static_cast<long long>(r.refine_micros),
                 static_cast<long long>(r.total_micros),
-                static_cast<long long>(r.bounded_cells_delta),
+                static_cast<long long>(r.bounded_cells),
                 r.slow ? 1 : 0);
   }
 }
