@@ -18,7 +18,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  const CommonFlags common = ParseCommonFlags(flags, 800, 12);
+  const CommonFlags common = ParseCommonFlags(flags, 800, 12, {"k"});
   if (!ApplyQueryLogFlags(common)) return 1;
   const int trees = common.trees;
   const int queries = common.queries;

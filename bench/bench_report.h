@@ -19,43 +19,19 @@
 // BENCH_treesim.json at the repo root; `tools/bench_compare.py` diffs two
 // such files with per-metric noise thresholds (the regression gate).
 //
-// Values are rendered to JSON text on append (same approach as
-// util/structured_log.h), so the builder needs no variant type and the
-// schema is exactly what the call sites say, in call order.
+// Every object here is a util/json.h JsonObject, the writer the query log
+// and MetricsSnapshot::ToJson() use too. A point's `stats` block holds one
+// QueryStatsJson() per engine: the summed QueryStats under their own names.
 
-#include <cstdint>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "search/query_stats.h"
-#include "util/metrics.h"
+#include "util/json.h"
 #include "util/status.h"
 
 namespace treesim {
 namespace bench {
-
-/// Ordered key -> pre-rendered-JSON-value map; nests via Raw().
-class JsonObject {
- public:
-  JsonObject& Str(const std::string& key, std::string_view value);
-  JsonObject& Int(const std::string& key, int64_t value);
-  JsonObject& Double(const std::string& key, double value);
-  JsonObject& Bool(const std::string& key, bool value);
-  /// Embeds `json` verbatim — for pre-rendered values such as
-  /// MetricsSnapshot::ToJson() or a nested JsonObject::Render().
-  JsonObject& Raw(const std::string& key, std::string json);
-
-  /// `{"k":v,...}` in append order. Appending the same key twice emits it
-  /// twice — callers own key uniqueness.
-  std::string Render() const;
-
-  bool empty() const { return fields_.empty(); }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
 
 /// Canonical JSON encoding of one query workload's QueryStats.
 std::string QueryStatsJson(const QueryStats& stats);

@@ -18,6 +18,7 @@
 #include "filters/histogram_filter.h"
 #include "search/similarity_search.h"
 #include "util/flags.h"
+#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/structured_log.h"
@@ -50,6 +51,14 @@ struct WorkloadResult {
 
 enum class WorkloadKind { kRange, kKnn };
 
+/// Stops the driver with a CHECK naming the first flag outside `known`, so
+/// a misspelt flag never runs a different experiment.
+inline void CheckKnownFlags(const FlagParser& flags,
+                            const std::vector<std::string>& known) {
+  const std::vector<std::string> unknown = flags.UnknownKeys(known);
+  TREESIM_CHECK(unknown.empty()) << "unknown flag --" << unknown.front();
+}
+
 /// The flags every bench driver shares (satellite of the telemetry layer:
 /// one parser, nine drivers). Per-binary defaults come in as arguments;
 /// the telemetry flags (--json, --query-log, --slow-query-ms) are uniform.
@@ -65,15 +74,19 @@ struct CommonFlags {
   int64_t slow_query_ms = 0;
 };
 
+/// Reads the shared flags; `extra` names the driver's own, and any other
+/// flag is a CHECK failure (CheckKnownFlags).
 inline CommonFlags ParseCommonFlags(const FlagParser& flags,
                                     int default_trees = 2000,
                                     int default_queries = 10,
-                                    uint64_t default_seed = 1) {
+                                    std::vector<std::string> extra = {}) {
+  extra.insert(extra.end(), {"trees", "queries", "seed", "json", "query-log",
+                             "slow-query-ms"});
+  CheckKnownFlags(flags, extra);
   CommonFlags out;
   out.trees = static_cast<int>(flags.GetInt("trees", default_trees));
   out.queries = static_cast<int>(flags.GetInt("queries", default_queries));
-  out.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", static_cast<int64_t>(default_seed)));
+  out.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   out.json_path = flags.GetString("json", "");
   out.query_log = flags.GetString("query-log", "");
   out.slow_query_ms = flags.GetInt("slow-query-ms", 0);
@@ -217,9 +230,9 @@ inline WorkloadResult RunWorkload(const TreeDatabase& db,
   const double denom = static_cast<double>(seq_total.database_size);
   out.result_pct = 100.0 * static_cast<double>(seq_total.results) / denom;
   out.bibranch_pct =
-      100.0 * static_cast<double>(bb_total.edit_distance_calls) / denom;
+      100.0 * static_cast<double>(bb_total.candidates) / denom;
   out.histo_pct =
-      100.0 * static_cast<double>(hi_total.edit_distance_calls) / denom;
+      100.0 * static_cast<double>(hi_total.candidates) / denom;
   out.bibranch_cpu = bb_total.TotalSeconds();
   out.histo_cpu = hi_total.TotalSeconds();
   out.sequential_cpu = seq_total.TotalSeconds();

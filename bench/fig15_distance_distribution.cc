@@ -23,7 +23,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  const CommonFlags common = ParseCommonFlags(flags, 2000, 40);
+  const CommonFlags common = ParseCommonFlags(flags, 2000, 40, {"max_distance"});
   if (!ApplyQueryLogFlags(common)) return 1;
   const int trees = common.trees;
   const int queries = common.queries;

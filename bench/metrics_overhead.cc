@@ -13,6 +13,7 @@
 #include <cstdlib>
 
 #include "bench_report.h"
+#include "bench_util.h"
 #include "util/flags.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
@@ -38,6 +39,7 @@ double NanosPerOp(int64_t elapsed_micros) {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
+  CheckKnownFlags(flags, {"json"});
   BenchReport report("metrics_overhead");
   report.config().Int("iterations", kIterations);
   std::printf("=== metrics overhead (TREESIM_METRICS=%s) ===\n",

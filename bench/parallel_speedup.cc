@@ -57,7 +57,7 @@ void PrintLayerBreakdown(const char* layer, const MetricsSnapshot& d) {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  const CommonFlags common = ParseCommonFlags(flags, 300, 20);
+  const CommonFlags common = ParseCommonFlags(flags, 300, 20, {"k", "threads"});
   if (!ApplyQueryLogFlags(common)) return 1;
   const int trees = common.trees;
   const int queries = common.queries;

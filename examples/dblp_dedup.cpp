@@ -71,8 +71,8 @@ int Run(int argc, char** argv) {
   std::printf("\nrecovered %d/%d originals\n", recovered, duplicates);
   std::printf("exact-distance verifications per query: BiBranch %.1f, "
               "Histo %.1f (of %d records)\n",
-              static_cast<double>(bb_stats.edit_distance_calls) / duplicates,
-              static_cast<double>(hi_stats.edit_distance_calls) / duplicates,
+              static_cast<double>(bb_stats.candidates) / duplicates,
+              static_cast<double>(hi_stats.candidates) / duplicates,
               db->size());
   return 0;
 }

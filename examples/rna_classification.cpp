@@ -102,7 +102,7 @@ int Run(int argc, char** argv) {
   }
   std::printf("exact edit distances computed per query: %.1f of %d "
               "(filter pruned %.1f%%)\n",
-              static_cast<double>(stats.edit_distance_calls) / total,
+              static_cast<double>(stats.candidates) / total,
               db->size(),
               100.0 * (1.0 - stats.AccessedFraction()));
   return 0;

@@ -70,7 +70,7 @@ int Run(int argc, char** argv) {
   SimilaritySearch engine(db.get(), std::make_unique<BiBranchFilter>());
   const KnnResult knn = engine.Knn(query.tree, k);
   std::printf("%d-NN (refined %lld of %d records):\n", k,
-              static_cast<long long>(knn.stats.edit_distance_calls),
+              static_cast<long long>(knn.stats.candidates),
               db->size());
   for (const auto& [id, dist] : knn.neighbors) {
     std::printf("  #%-4d d=%d%s %s\n", id, dist,

@@ -87,22 +87,14 @@ HistogramFilter::Features HistogramFilter::ExtractFeatures(
 }
 
 int HistogramFilter::Bound(const Features& a, const Features& b) const {
-  int64_t bound = 0;
-  if (options_.use_label) {
-    // One edit operation changes the (folded) label multiset by <= 2.
-    bound = std::max(bound, (SparseHistogramL1(a.label_hist, b.label_hist) + 1) / 2);
-  }
-  if (options_.use_degree) {
-    // One edit operation changes the (capped) degree histogram by <= 3.
-    bound = std::max(bound,
-                     (SparseHistogramL1(a.degree_hist, b.degree_hist) + 2) / 3);
-  }
-  if (options_.use_scalars) {
-    // One edit operation changes height, size and leaf count by <= 1 each.
-    bound = std::max<int64_t>(bound, std::abs(a.height - b.height));
-    bound = std::max<int64_t>(bound, std::abs(a.size - b.size));
-    bound = std::max<int64_t>(bound, std::abs(a.leaves - b.leaves));
-  }
+  // One edit operation changes the (folded) label multiset by <= 2, the
+  // (capped) degree histogram by <= 3, and height, size and leaf count by
+  // <= 1 each.
+  const int64_t bound = std::max<int64_t>(
+      {(SparseHistogramL1(a.label_hist, b.label_hist) + 1) / 2,
+       (SparseHistogramL1(a.degree_hist, b.degree_hist) + 2) / 3,
+       std::abs(a.height - b.height), std::abs(a.size - b.size),
+       std::abs(a.leaves - b.leaves)});
   return CheckedCast<int>(bound);
 }
 

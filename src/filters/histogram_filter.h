@@ -36,12 +36,9 @@ class HistogramFilter final : public FilterIndex {
     int label_buckets = 0;
     /// Cap degrees at this many buckets (0 = unbounded).
     int degree_buckets = 0;
-    bool use_label = true;
-    bool use_degree = true;
-    bool use_scalars = true;
   };
 
-  /// Default options: unfolded histograms, all features on.
+  /// Default options: unfolded histograms.
   HistogramFilter();
   explicit HistogramFilter(Options options);
 
@@ -65,7 +62,8 @@ class HistogramFilter final : public FilterIndex {
   /// Extracts the features of one tree under this filter's options.
   Features ExtractFeatures(const Tree& t) const;
 
-  /// The combined lower bound between two feature vectors.
+  /// The combined lower bound between two feature vectors: the max of the
+  /// label, degree and scalar bounds above.
   int Bound(const Features& a, const Features& b) const;
 
  private:

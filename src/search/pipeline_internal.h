@@ -14,6 +14,7 @@
 #include "ted/bounded_ted.h"
 #include "ted/cost_model.h"
 #include "util/flight_recorder.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/query_context.h"
@@ -79,30 +80,28 @@ enum class OpKind { kRange, kKnn, kBatch, kJoin };
 /// code cannot use them). Null: no such metric, or TREESIM_METRICS=OFF.
 struct Op {
   Op(OpKind kind, const char* tag, const char* span, const char* filter_span,
-     const char* refine_span, const char* event = nullptr);
+     const char* refine_span);
 
   OpKind kind;
-  const char* tag;      ///< query-context tag and flight-record op
-  const char* span;     ///< top-level span and metric-name prefix
+  const char* tag;   ///< query-context tag, flight-record op, log event
+  const char* span;  ///< top-level span and metric-name prefix
   const char* filter_span;
   const char* refine_span;
-  const char* event;    ///< query-log event; the tag unless given
   Counter* queries = nullptr;  ///< ".queries" (".joins" for a join)
   Counter* candidates = nullptr;
-  Counter* refined = nullptr;
   Counter* results = nullptr;
   Counter* bounds_computed = nullptr;   ///< k-NN: one bound per tree
   Counter* pairs_considered = nullptr;  ///< join: its database_size
   Histogram* filter_micros = nullptr;
   Histogram* refine_micros = nullptr;
-  Histogram* per_query = nullptr;  ///< candidates (range), refined (k-NN)
+  Histogram* per_query = nullptr;  ///< candidates (range and k-NN)
   Histogram* bound_gap = nullptr;  ///< k-NN: exact distance minus bound
   LatencyWindow* window = nullptr;
 };
 
 /// Appends a distance-typed value; Double() renders a non-finite one null.
 template <typename T>
-void AppendValue(LogRecord& line, const char* key, T value) {
+void AppendValue(JsonObject& line, const char* key, T value) {
   if constexpr (std::is_integral_v<T>) {
     line.Int(key, value);
   } else {
@@ -134,16 +133,15 @@ class QueryScope {
       FlightRecord rec;
       rec.query_id = context_.query_id();
       rec.ts_micros = UnixMicros();
-      rec.op = op_.tag;
       rec.param = SaturatingFloor<int64_t>(static_cast<double>(param), 0);
       rec.database_size = stats.database_size;
       rec.candidates = stats.candidates;
-      rec.refined = stats.edit_distance_calls;
       rec.results = stats.results;
       rec.filter_micros = static_cast<int64_t>(stats.filter_seconds * 1e6);
       rec.refine_micros = static_cast<int64_t>(stats.refine_seconds * 1e6);
       rec.total_micros = static_cast<int64_t>(stats.TotalSeconds() * 1e6);
-      rec.bounded_cells = stats.ted_cells;
+      rec.ted_cells = stats.ted_cells;
+      rec.op = op_.tag;
       rec.slow = StructuredLog::Global().IsSlow(rec.total_micros);
 
       const auto add = [](Counter* counter, int64_t value) {
@@ -153,33 +151,25 @@ class QueryScope {
         if (histogram != nullptr) histogram->Record(value);
       };
       add(op_.candidates, rec.candidates);
-      add(op_.refined, rec.refined);
       add(op_.results, rec.results);
       add(op_.pairs_considered, rec.database_size);
       add(op_.bounds_computed, filter == nullptr ? 0 : rec.database_size);
-      record(op_.per_query, rec.candidates);  // k-NN refines every candidate
+      record(op_.per_query, rec.candidates);
       record(op_.filter_micros, rec.filter_micros);
       record(op_.refine_micros, rec.refine_micros);
       op_.window->Record(rec.total_micros);
 
       StructuredLog& qlog = StructuredLog::Global();
       if (qlog.ShouldLog(rec.total_micros)) {
-        LogRecord line;
-        line.Int("ts_micros", rec.ts_micros)
-            .Str("event", op_.event)
-            .Int("query_id", rec.query_id)
+        JsonObject line;
+        line.Str("event", rec.op)
             .Str("filter", filter == nullptr ? "Sequential" : filter->name());
         const bool knn = op_.kind == OpKind::kKnn || op_.kind == OpKind::kBatch;
         AppendValue(line, knn ? "k" : "tau", param);
-        line.Int("database_size", rec.database_size)
-            .Int("candidates", rec.candidates)
-            .Int("refined", rec.refined)
-            .Int("results", rec.results)
-            .Int("filter_micros", rec.filter_micros)
-            .Int("refine_micros", rec.refine_micros)
-            .Int("total_micros", rec.total_micros)
-            .Int("bounded_cells", rec.bounded_cells)
-            .Bool("slow", rec.slow);
+        for (const FlightField& f : kFlightFields) {
+          line.Int(f.key, rec.*f.member);
+        }
+        line.Bool("slow", rec.slow);
         extra(line);
         qlog.Write(line);
       }
@@ -238,7 +228,6 @@ struct Engine {
     stats.filter_seconds = filter_timer.ElapsedSeconds();
     stats.database_size = db.size() - first;
     stats.candidates = static_cast<int64_t>(candidates.size());
-    stats.edit_distance_calls = stats.candidates;
     Stopwatch refine_timer;
     const TraceSpan span(op.refine_span);
     std::vector<std::pair<int, Distance>> matches;

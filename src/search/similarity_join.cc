@@ -5,9 +5,9 @@
 
 #include "filters/filter_index.h"
 #include "search/pipeline_internal.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/safe_math.h"
-#include "util/structured_log.h"
 #include "util/thread_pool.h"
 
 namespace treesim {
@@ -37,8 +37,8 @@ JoinResult SimilarityJoin::JoinImpl(const TreeDatabase& left, int tau,
                                     "search.join", "search.join.filter",
                                     "search.join.refine");
   static const pipeline::Op self_join_op(
-      pipeline::OpKind::kJoin, "join", "search.join", "search.join.filter",
-      "search.join.refine", /*event=*/"self_join");
+      pipeline::OpKind::kJoin, "self_join", "search.join",
+      "search.join.filter", "search.join.refine");
   const pipeline::Op& op = self ? self_join_op : join_op;
   const pipeline::QueryScope scope(op);
   const pipeline::Engine engine(*right_, filter_.get(), indexed_size_);
@@ -73,7 +73,7 @@ JoinResult SimilarityJoin::JoinImpl(const TreeDatabase& left, int tau,
     for (const auto& [r, d] : slot.matches) result.pairs.emplace_back(l, r, d);
   }
   result.stats.results = static_cast<int64_t>(result.pairs.size());
-  scope.Finish(tau, result.stats, filter_.get(), [&](LogRecord& line) {
+  scope.Finish(tau, result.stats, filter_.get(), [&](JsonObject& line) {
     line.Int("left_size", left.size());
   });
   return result;

@@ -8,12 +8,12 @@
 
 #include "filters/filter_index.h"
 #include "search/pipeline_internal.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/query_context.h"
 #include "util/safe_math.h"
 #include "util/stopwatch.h"
-#include "util/structured_log.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -21,13 +21,12 @@ namespace treesim {
 namespace pipeline {
 
 Op::Op(OpKind kind, const char* tag, const char* span, const char* filter_span,
-       const char* refine_span, const char* event)
+       const char* refine_span)
     : kind(kind),
       tag(tag),
       span(span),
       filter_span(filter_span),
-      refine_span(refine_span),
-      event(event == nullptr ? tag : event) {
+      refine_span(refine_span) {
   if constexpr (kMetricsEnabled) {
     MetricsRegistry& registry = MetricsRegistry::Global();
     const std::string prefix = span;
@@ -41,21 +40,18 @@ Op::Op(OpKind kind, const char* tag, const char* span, const char* filter_span,
     queries = counter(kind == OpKind::kJoin ? ".joins" : ".queries");
     window = &registry.GetWindow(prefix + ".latency_window");
     if (kind == OpKind::kBatch) return;  // its member queries report the rest
-    refined = counter(".refined");
+    candidates = counter(".candidates");
     results = counter(".results");
     filter_micros = histogram(".filter_micros", LatencyBucketsMicros());
     refine_micros = histogram(".refine_micros", LatencyBucketsMicros());
-    if (kind == OpKind::kKnn) {
-      bounds_computed = counter(".bounds_computed");
-      per_query = histogram(".refined_per_query", CountBuckets());
-      bound_gap = histogram(".bound_gap", SmallValueBuckets());
+    if (kind == OpKind::kJoin) {
+      pairs_considered = counter(".pairs_considered");
       return;
     }
-    candidates = counter(".candidates");
-    if (kind == OpKind::kRange) {
-      per_query = histogram(".candidates_per_query", CountBuckets());
-    } else {
-      pairs_considered = counter(".pairs_considered");
+    per_query = histogram(".candidates_per_query", CountBuckets());
+    if (kind == OpKind::kKnn) {
+      bounds_computed = counter(".bounds_computed");
+      bound_gap = histogram(".bound_gap", SmallValueBuckets());
     }
   }
 }
@@ -76,7 +72,7 @@ Result RunRange(const Engine& engine, const Op& op, const Costs& costs,
               return std::tie(a.second, a.first) < std::tie(b.second, b.first);
             });
   result.stats.results = static_cast<int64_t>(result.matches.size());
-  scope.Finish(tau, result.stats, engine.filter, [](LogRecord&) {});
+  scope.Finish(tau, result.stats, engine.filter, [](JsonObject&) {});
   return result;
 }
 
@@ -126,7 +122,7 @@ Result RunKnn(const Engine& engine, const Op& op, const Costs& costs,
       if (bound > kth) break;
       const Distance d =
           costs.Verify(query_view, engine.db.ted_view(id), kth, result.stats);
-      ++result.stats.edit_distance_calls;
+      ++result.stats.candidates;
       // A bound above the distance would let the break drop neighbors.
       TREESIM_DCHECK_LE(bound, static_cast<double>(d) + 1e-9)
           << "unsound lower bound on tree " << id;
@@ -146,7 +142,6 @@ Result RunKnn(const Engine& engine, const Op& op, const Costs& costs,
     }
   }
   result.stats.refine_seconds = refine_timer.ElapsedSeconds();
-  result.stats.candidates = result.stats.edit_distance_calls;
 
   result.neighbors.resize(heap.size());
   for (size_t i = heap.size(); i-- > 0;) {
@@ -154,10 +149,10 @@ Result RunKnn(const Engine& engine, const Op& op, const Costs& costs,
     heap.pop();
   }
   result.stats.results = static_cast<int64_t>(result.neighbors.size());
-  scope.Finish(k, result.stats, engine.filter, [&](LogRecord& line) {
-    const int64_t refined = result.stats.edit_distance_calls;
+  scope.Finish(k, result.stats, engine.filter, [&](JsonObject& line) {
+    const int64_t verified = result.stats.candidates;
     line.Double("bound_gap_mean",
-                refined > 0 ? gap_sum / static_cast<double>(refined) : 0.0);
+                verified > 0 ? gap_sum / static_cast<double>(verified) : 0.0);
     if (!result.neighbors.empty()) {
       AppendValue(line, "kth_distance", result.neighbors.back().second);
     }
@@ -227,7 +222,7 @@ BatchKnnResult SimilaritySearch::BatchKnn(const std::vector<Tree>& queries,
         RunKnn<KnnResult>(engine, KnnOp(), UnitCosts{}, queries[q], k, ids[q]);
   });
   for (const KnnResult& member : out.per_query) out.combined += member.stats;
-  scope.Finish(k, out.combined, filter_.get(), [&](LogRecord& line) {
+  scope.Finish(k, out.combined, filter_.get(), [&](JsonObject& line) {
     line.Int("queries", static_cast<int64_t>(queries.size()));
   });
   return out;

@@ -69,10 +69,22 @@ double FlagParser::GetDouble(const std::string& key, double def) const {
 bool FlagParser::GetBool(const std::string& key, bool def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  const std::string& v = it->second;
-  if (v.empty() || v == "true" || v == "1" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "no") return false;
-  return def;
+  bool value = false;
+  TREESIM_CHECK(ParseBoolFlag(it->second, &value))
+      << "--" << key << "=" << it->second << " is not a boolean";
+  return value;
+}
+
+bool ParseBoolFlag(const std::string& text, bool* value) {
+  if (text.empty() || text == "true" || text == "yes" || text == "1") {
+    *value = true;
+    return true;
+  }
+  if (text == "false" || text == "no" || text == "0") {
+    *value = false;
+    return true;
+  }
+  return false;
 }
 
 std::vector<std::string> FlagParser::UnknownKeys(

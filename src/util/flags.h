@@ -34,7 +34,8 @@ class FlagParser {
   /// value; a value that does not parse in full is fatal, as in GetInt.
   double GetDouble(const std::string& key, double def) const;
 
-  /// Boolean flag: `--key`, `--key=true|false|1|0`. Absent -> `def`.
+  /// Boolean flag: `--key`, `--key=true|false|yes|no|1|0`. Absent ->
+  /// `def`; any other value is fatal, as in GetInt.
   bool GetBool(const std::string& key, bool def) const;
 
   /// Tokens that did not start with `--`.
@@ -49,6 +50,11 @@ class FlagParser {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// Reads a boolean flag's text into `*value`: "" (the bare `--key`),
+/// true/yes/1 or false/no/0. Returns false, leaving `*value`, on any other
+/// text.
+bool ParseBoolFlag(const std::string& text, bool* value);
 
 }  // namespace treesim
 

@@ -16,18 +16,8 @@ namespace treesim {
 struct FlightRecorder::Slot {
   std::atomic<uint64_t> seq{0};
   std::atomic<const char*> op{""};
-  std::atomic<int64_t> query_id{0};
-  std::atomic<int64_t> ts_micros{0};
-  std::atomic<int64_t> param{0};
-  std::atomic<int64_t> database_size{0};
-  std::atomic<int64_t> candidates{0};
-  std::atomic<int64_t> refined{0};
-  std::atomic<int64_t> results{0};
-  std::atomic<int64_t> filter_micros{0};
-  std::atomic<int64_t> refine_micros{0};
-  std::atomic<int64_t> total_micros{0};
-  std::atomic<int64_t> bounded_cells{0};
-  std::atomic<int64_t> slow{0};
+  std::atomic<bool> slow{false};
+  std::atomic<int64_t> fields[kFlightFieldCount]{};  ///< kFlightFields order
 };
 
 namespace {
@@ -49,18 +39,11 @@ bool ReadSlot(const FlightRecorder::Slot& s, int64_t ticket,
   const uint64_t expected = 2 * static_cast<uint64_t>(ticket) + 2;
   if (s.seq.load(std::memory_order_acquire) != expected) return false;
   out->op = s.op.load(std::memory_order_relaxed);
-  out->query_id = s.query_id.load(std::memory_order_relaxed);
-  out->ts_micros = s.ts_micros.load(std::memory_order_relaxed);
-  out->param = s.param.load(std::memory_order_relaxed);
-  out->database_size = s.database_size.load(std::memory_order_relaxed);
-  out->candidates = s.candidates.load(std::memory_order_relaxed);
-  out->refined = s.refined.load(std::memory_order_relaxed);
-  out->results = s.results.load(std::memory_order_relaxed);
-  out->filter_micros = s.filter_micros.load(std::memory_order_relaxed);
-  out->refine_micros = s.refine_micros.load(std::memory_order_relaxed);
-  out->total_micros = s.total_micros.load(std::memory_order_relaxed);
-  out->bounded_cells = s.bounded_cells.load(std::memory_order_relaxed);
-  out->slow = s.slow.load(std::memory_order_relaxed) != 0;
+  for (size_t i = 0; i < kFlightFieldCount; ++i) {
+    out->*kFlightFields[i].member =
+        s.fields[i].load(std::memory_order_relaxed);
+  }
+  out->slow = s.slow.load(std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_acquire);
   return s.seq.load(std::memory_order_relaxed) == expected;
 }
@@ -108,18 +91,11 @@ void FlightRecorder::Record(const FlightRecord& rec) {
               std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   s.op.store(rec.op, std::memory_order_relaxed);
-  s.query_id.store(rec.query_id, std::memory_order_relaxed);
-  s.ts_micros.store(rec.ts_micros, std::memory_order_relaxed);
-  s.param.store(rec.param, std::memory_order_relaxed);
-  s.database_size.store(rec.database_size, std::memory_order_relaxed);
-  s.candidates.store(rec.candidates, std::memory_order_relaxed);
-  s.refined.store(rec.refined, std::memory_order_relaxed);
-  s.results.store(rec.results, std::memory_order_relaxed);
-  s.filter_micros.store(rec.filter_micros, std::memory_order_relaxed);
-  s.refine_micros.store(rec.refine_micros, std::memory_order_relaxed);
-  s.total_micros.store(rec.total_micros, std::memory_order_relaxed);
-  s.bounded_cells.store(rec.bounded_cells, std::memory_order_relaxed);
-  s.slow.store(rec.slow ? 1 : 0, std::memory_order_relaxed);
+  for (size_t i = 0; i < kFlightFieldCount; ++i) {
+    s.fields[i].store(rec.*kFlightFields[i].member,
+                      std::memory_order_relaxed);
+  }
+  s.slow.store(rec.slow, std::memory_order_relaxed);
   s.seq.store(2 * static_cast<uint64_t>(ticket) + 2,
               std::memory_order_release);
 }

@@ -1,34 +1,64 @@
 #ifndef TREESIM_UTIL_FLIGHT_RECORDER_H_
 #define TREESIM_UTIL_FLIGHT_RECORDER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "util/metrics.h"  // kMetricsEnabled
 
 namespace treesim {
 
-/// One completed query, as the flight recorder remembers it: the identity,
-/// the funnel, and where the time went. Plain data; `op` is always a
-/// string literal ("range", "knn", "batch_knn", "join", ...).
+/// One completed query: the identity, the funnel, and where the time went.
+/// QueryScope::Finish builds it from the query's QueryStats, and every
+/// per-query sink (query log, flight recorder, crash dump, `treesim_cli
+/// --flight-recorder`) writes its integer fields by looping over
+/// kFlightFields, so a new count is a member, a table line and the line in
+/// Finish that fills it. Plain data.
 struct FlightRecord {
   int64_t query_id = 0;
-  int64_t ts_micros = 0;     ///< completion time, UnixMicros()
-  const char* op = "";       ///< operation tag (string literal)
-  int64_t param = 0;         ///< tau (range/join) or k (knn)
-  int64_t database_size = 0;
-  int64_t candidates = 0;    ///< funnel: trees surviving the filter
-  int64_t refined = 0;       ///< funnel: exact TED calls
-  int64_t results = 0;       ///< funnel: matches / neighbors / pairs
+  int64_t ts_micros = 0;      ///< completion time, UnixMicros()
+  int64_t param = 0;          ///< tau (range/join) or k (knn), floored
+  int64_t database_size = 0;  ///< trees the query ran against
+  int64_t candidates = 0;     ///< funnel: trees handed to exact TED
+  int64_t results = 0;        ///< funnel: matches / neighbors / pairs
   int64_t filter_micros = 0;
   int64_t refine_micros = 0;
   int64_t total_micros = 0;
   /// Banded TED cells this query computed (QueryStats::ted_cells): its
   /// exact share of ted.bounded_cells_computed, however many queries
   /// overlap. A batch or join sums its members' or left trees'.
-  int64_t bounded_cells = 0;
-  bool slow = false;         ///< StructuredLog::IsSlow(total_micros)
+  int64_t ted_cells = 0;
+  /// Operation tag, a string literal: "range", "knn", "batch_knn",
+  /// "range_weighted", "knn_weighted", "join" or "self_join".
+  const char* op = "";
+  bool slow = false;  ///< StructuredLog::IsSlow(total_micros)
 };
+
+/// An integer field of FlightRecord and the one key every sink writes.
+struct FlightField {
+  const char* key;
+  int64_t FlightRecord::*member;
+};
+
+inline constexpr FlightField kFlightFields[] = {
+    {"query_id", &FlightRecord::query_id},
+    {"ts_micros", &FlightRecord::ts_micros},
+    {"param", &FlightRecord::param},
+    {"database_size", &FlightRecord::database_size},
+    {"candidates", &FlightRecord::candidates},
+    {"results", &FlightRecord::results},
+    {"filter_micros", &FlightRecord::filter_micros},
+    {"refine_micros", &FlightRecord::refine_micros},
+    {"total_micros", &FlightRecord::total_micros},
+    {"ted_cells", &FlightRecord::ted_cells},
+};
+inline constexpr size_t kFlightFieldCount = std::size(kFlightFields);
+// An integer field added to FlightRecord without a table line fails here.
+static_assert(offsetof(FlightRecord, op) ==
+                  kFlightFieldCount * sizeof(int64_t),
+              "every integer field of FlightRecord needs a kFlightFields line");
 
 #if TREESIM_METRICS_ENABLED
 

@@ -1,10 +1,10 @@
 #include "util/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/query_context.h"
 #include "util/safe_math.h"
@@ -13,46 +13,15 @@
 namespace treesim {
 namespace {
 
-/// Escapes a metric name for JSON output. Names are dotted identifiers by
-/// convention, but the dump must stay well-formed for any registered name.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void AppendInt64Array(std::ostringstream& os,
-                      const std::vector<int64_t>& values) {
-  os << '[';
+/// `[v0,v1,...]`, for JsonObject::Raw.
+std::string Int64Array(const std::vector<int64_t>& values) {
+  std::string out = "[";
   for (size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) os << ',';
-    os << values[i];
+    if (i != 0) out += ',';
+    out += std::to_string(values[i]);
   }
-  os << ']';
+  out += ']';
+  return out;
 }
 
 }  // namespace
@@ -436,45 +405,32 @@ std::string MetricsSnapshot::ToText() const {
 }
 
 std::string MetricsSnapshot::ToJson() const {
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << JsonEscape(name) << "\":" << value;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << JsonEscape(name) << "\":" << value;
-  }
-  os << "},\"histograms\":{";
-  first = true;
+  JsonObject counter_values;
+  for (const auto& [name, value] : counters) counter_values.Int(name, value);
+  JsonObject gauge_values;
+  for (const auto& [name, value] : gauges) gauge_values.Int(name, value);
+  JsonObject histogram_values;
   for (const auto& [name, h] : histograms) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << JsonEscape(name) << "\":{\"bounds\":";
-    AppendInt64Array(os, h.bounds);
-    os << ",\"counts\":";
-    AppendInt64Array(os, h.bucket_counts);
-    os << ",\"count\":" << h.count << ",\"sum\":" << h.sum;
+    JsonObject o;
+    o.Raw("bounds", Int64Array(h.bounds))
+        .Raw("counts", Int64Array(h.bucket_counts))
+        .Int("count", h.count)
+        .Int("sum", h.sum);
     // Exemplars only when at least one bucket has one, so context-free
     // dumps (and their golden tests) are byte-identical to before.
     bool any_exemplar = false;
     for (const int64_t id : h.exemplar_ids) any_exemplar |= (id != 0);
     if (any_exemplar) {
-      os << ",\"exemplar_ids\":";
-      AppendInt64Array(os, h.exemplar_ids);
-      os << ",\"exemplar_values\":";
-      AppendInt64Array(os, h.exemplar_values);
+      o.Raw("exemplar_ids", Int64Array(h.exemplar_ids))
+          .Raw("exemplar_values", Int64Array(h.exemplar_values));
     }
-    os << '}';
+    histogram_values.Raw(name, o.Render());
   }
-  os << "}}";
-  return os.str();
+  JsonObject doc;
+  doc.Raw("counters", counter_values.Render())
+      .Raw("gauges", gauge_values.Render())
+      .Raw("histograms", histogram_values.Render());
+  return doc.Render();
 }
 
 namespace {

@@ -17,7 +17,7 @@
 /// coarse per-query QueryStats totals: index build sizes, filter in/out
 /// counts, the positional bound chosen per query, stage latencies,
 /// thread-pool load, and arithmetic saturations all land here under stable
-/// dotted names ("search.knn.refined", ...).
+/// dotted names ("search.knn.candidates", ...).
 ///
 /// Design:
 ///   * Registration is Mutex-guarded and happens once per site (the

@@ -1,89 +1,12 @@
 #include "util/structured_log.h"
 
 #include <chrono>
-#include <cmath>
-#include <utility>
 
+#include "util/json.h"
 #include "util/status.h"
 #include "util/sync.h"
 
 namespace treesim {
-namespace {
-
-/// JSON string escaping for record values (keys are emitted verbatim —
-/// they are compile-time identifiers by convention).
-void AppendJsonEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
-void LogRecord::AppendKey(const char* key) {
-  if (!body_.empty()) body_ += ',';
-  body_ += '"';
-  body_ += key;
-  body_ += "\":";
-}
-
-LogRecord& LogRecord::Str(const char* key, std::string_view value) {
-  AppendKey(key);
-  body_ += '"';
-  AppendJsonEscaped(body_, value);
-  body_ += '"';
-  return *this;
-}
-
-LogRecord& LogRecord::Int(const char* key, int64_t value) {
-  AppendKey(key);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-LogRecord& LogRecord::Double(const char* key, double value) {
-  AppendKey(key);
-  if (!std::isfinite(value)) {
-    body_ += "null";  // NaN/inf are not JSON; null keeps the line parseable
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    body_ += buf;
-  }
-  return *this;
-}
-
-LogRecord& LogRecord::Bool(const char* key, bool value) {
-  AppendKey(key);
-  body_ += value ? "true" : "false";
-  return *this;
-}
-
-std::string LogRecord::ToJsonLine() const { return "{" + body_ + "}"; }
 
 int64_t UnixMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -129,8 +52,8 @@ void StructuredLog::Close() {
   if (doomed != nullptr) std::fclose(doomed);
 }
 
-void StructuredLog::Write(const LogRecord& record) {
-  const std::string line = record.ToJsonLine();
+void StructuredLog::Write(const JsonObject& record) {
+  const std::string line = record.Render();
   MutexLock lock(mu_);
   if (file_ == nullptr) return;  // raced with Close(); drop silently
   std::fwrite(line.data(), 1, line.size(), file_);

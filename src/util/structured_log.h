@@ -5,18 +5,22 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
 
+#include "util/json.h"
 #include "util/status.h"
 #include "util/sync.h"
 
 /// Structured query logging — the per-query counterpart of the aggregate
 /// metrics registry (util/metrics.h). Every search/join entry point emits
-/// one JSON-lines record per query (query id, tau/k, candidate funnel,
-/// stage timings, bound gap) into a process-wide sink; a slow-query
+/// one JSON-lines record per query into a process-wide sink; a slow-query
 /// threshold turns the firehose into an incident log. The format is one
 /// self-contained JSON object per line, so `jq`, `grep` and any log
-/// shipper consume it without a schema registry.
+/// shipper consume it without a schema registry. A line carries `event`
+/// (the flight record's op), `filter`, `tau` or `k` (as given, so a
+/// weighted tau keeps its fraction), every FlightRecord field under its
+/// kFlightFields key (util/flight_recorder.h), `slow`, and the op's own
+/// keys (k-NN: `bound_gap_mean`, `kth_distance`; batch: `queries`; join:
+/// `left_size`).
 ///
 /// Design mirrors util/metrics.h:
 ///   * One process-wide sink (StructuredLog::Global()), configured once by
@@ -24,10 +28,11 @@
 ///     --slow-query-ms=N`, bench --query-log=FILE); the library itself
 ///     never opens files behind the caller's back — logging is off until
 ///     OpenFile() succeeds.
-///   * Emission is two phases: build a LogRecord (no lock, plain string
-///     append) and Write() it (one Mutex-guarded fwrite + flush). Query
-///     paths guard the whole block with ShouldLog(total_micros), so a
-///     disabled sink costs one relaxed atomic load per query.
+///   * Emission is two phases: build a JsonObject (util/json.h; no lock,
+///     plain string append) and Write() it (one Mutex-guarded fwrite +
+///     flush). Query paths guard the whole block with
+///     ShouldLog(total_micros), so a disabled sink costs one relaxed atomic
+///     load per query.
 ///   * Under -DTREESIM_METRICS=OFF the class degenerates to a stub:
 ///     enabled() is constantly false, OpenFile() reports the layer is
 ///     compiled out, Write() is a no-op — the query engines carry zero
@@ -38,25 +43,6 @@
 #endif
 
 namespace treesim {
-
-/// Incrementally built JSON object for one log line. Keys are appended in
-/// call order; values are escaped/formatted on append, so ToJsonLine() is
-/// a plain string move. Keys must be plain ASCII identifiers (they are
-/// emitted verbatim); values are escaped.
-class LogRecord {
- public:
-  LogRecord& Str(const char* key, std::string_view value);
-  LogRecord& Int(const char* key, int64_t value);
-  LogRecord& Double(const char* key, double value);
-  LogRecord& Bool(const char* key, bool value);
-
-  /// The record as one JSON object, no trailing newline.
-  std::string ToJsonLine() const;
-
- private:
-  void AppendKey(const char* key);
-  std::string body_;
-};
 
 /// Unix wall-clock time in microseconds (the one timestamp source outside
 /// util/stopwatch.h; lives here because std::chrono is banned outside
@@ -103,13 +89,8 @@ class StructuredLog {
     return threshold > 0 && total_micros >= threshold;
   }
 
-  /// Monotonic id shared by every logged record of this process.
-  int64_t NextQueryId() {
-    return next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Appends the record as one line. Thread-safe; no-op while disabled.
-  void Write(const LogRecord& record);
+  void Write(const JsonObject& record);
 
   /// Records written since the sink was opened (testing/monitoring).
   int64_t records_written() const {
@@ -121,7 +102,6 @@ class StructuredLog {
 
   std::atomic<bool> enabled_{false};
   std::atomic<int64_t> slow_query_micros_{0};
-  std::atomic<int64_t> next_query_id_{0};
   std::atomic<int64_t> records_written_{0};
   mutable Mutex mu_ TREESIM_LOCK_RANK(50);
   std::FILE* file_ TREESIM_GUARDED_BY(mu_) = nullptr;
@@ -146,8 +126,7 @@ class StructuredLog {
   int64_t slow_query_micros() const { return 0; }
   bool ShouldLog(int64_t) const { return false; }
   bool IsSlow(int64_t) const { return false; }
-  int64_t NextQueryId() { return 0; }
-  void Write(const LogRecord&) {}
+  void Write(const JsonObject&) {}
   int64_t records_written() const { return 0; }
 
  private:

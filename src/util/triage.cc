@@ -184,20 +184,12 @@ void WriteDumpToFd(int fd, const char* reason) {
   for (int i = 0; i < records; ++i) {
     const FlightRecord& r = g_records[i];
     WriteStr(fd, "record");
-    WriteField(fd, "query_id", r.query_id);
+    for (const FlightField& f : kFlightFields) {
+      WriteField(fd, f.key, r.*f.member);
+    }
     WriteStr(fd, " op=");
     WriteStr(fd, r.op);
-    WriteField(fd, "param", r.param);
-    WriteField(fd, "db", r.database_size);
-    WriteField(fd, "candidates", r.candidates);
-    WriteField(fd, "refined", r.refined);
-    WriteField(fd, "results", r.results);
-    WriteField(fd, "filter_us", r.filter_micros);
-    WriteField(fd, "refine_us", r.refine_micros);
-    WriteField(fd, "total_us", r.total_micros);
-    WriteField(fd, "bounded_cells", r.bounded_cells);
     WriteField(fd, "slow", r.slow ? 1 : 0);
-    WriteField(fd, "ts", r.ts_micros);
     WriteStr(fd, "\n");
   }
 

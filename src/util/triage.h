@@ -5,6 +5,8 @@
 /// the process's in-memory telemetry — metrics, flight-recorder records,
 /// per-thread trace-ring tails, build provenance — as a line-oriented
 /// text file the moment a TREESIM_CHECK fails or a fatal signal arrives.
+/// A flight record is one `record` line: every kFlightFields key as
+/// `key=value` (util/flight_recorder.h), then `op=` and `slow=0|1`.
 /// Render with tools/triage_report.py.
 ///
 /// The implementation TU (triage.cc) is held to strict async-signal-safety

@@ -20,6 +20,7 @@ namespace treesim {
 namespace {
 
 using testing::MakeLabelPool;
+using testing::MakeTree;
 using testing::RandomTree;
 
 constexpr uint64_t kSeed = 2005;  // publication year of the source paper
@@ -278,6 +279,18 @@ TEST(BoundedTedTest, ExactAtEveryTauOnAdversarialShapes) {
     shapes.push_back(Spine(13, *p, labels));
     shapes.push_back(Star(13, *p, labels));
     shapes.push_back(LeftComb(6, *p, labels));
+  }
+  // Two nodes longer than the first spine, labels shared: at tau = 2 the
+  // optimal mapping runs along the band edge, so a missing sentinel there
+  // reads stale scratch on the optimal path.
+  shapes.push_back(Spine(15, half1, labels));
+  // The band-edge fuzz seeds (fuzz/corpus/bounded_ted/band_*_edge), whose
+  // subtree jumps reach outside the band.
+  for (const char* text :
+       {"b{b{b{a{b{a} b{b}}}} b a b a}", "a{a{a{a{b}}} a a{a a}}",
+        "b{b{b{a{b b} a} b a{a}} b{b a{a} a a} b a{a b}}",
+        "b{b b{b a{b{b{a{b}} b a} a a{b{a{b a} a} a{a}}}} a{b} a}"}) {
+    shapes.push_back(MakeTree(text, labels));
   }
   const IndelHeavyCosts costs;
   for (const Tree& t1 : shapes) {

@@ -55,6 +55,17 @@ TEST(FlagParserDeathTest, UnparsableDoubleStopsNamingTheFlag) {
   EXPECT_DEATH((void)f.GetDouble("huge", 0.0), "--huge=1e999");
 }
 
+TEST(FlagParserDeathTest, UnknownBoolStopsNamingTheFlag) {
+  // A misspelt value must not run the default: `--structure-only=ture`.
+  FlagParser f = Parse({"--structure-only=ture", "--full=2", "--y=yes",
+                        "--n=no"});
+  EXPECT_DEATH((void)f.GetBool("structure-only", false),
+               "--structure-only=ture");
+  EXPECT_DEATH((void)f.GetBool("full", true), "--full=2");
+  EXPECT_TRUE(f.GetBool("y", false));
+  EXPECT_FALSE(f.GetBool("n", true));
+}
+
 TEST(FlagParserTest, PositionalArguments) {
   FlagParser f = Parse({"input.xml", "--k=5", "out.txt"});
   ASSERT_EQ(f.positional().size(), 2u);

@@ -187,7 +187,7 @@ TEST_F(FlightRecorderTest, EverySearchEntryRecordsOneFlight) {
         {"knn_weighted",
          [&] { static_cast<void>(search.KnnWeighted(query, 3, costs)); }},
         {"join", [&] { static_cast<void>(join.Join(db, 2)); }},
-        {"join", [&] { static_cast<void>(join.SelfJoin(2)); }},
+        {"self_join", [&] { static_cast<void>(join.SelfJoin(2)); }},
     };
     for (const auto& [op, call] : calls) {
       FlightRecorder::Global().ResetForTest();
@@ -239,8 +239,7 @@ TEST_F(FlightRecorderTest, BatchMemberIdsFollowQueryOrderAtAnyPoolSize) {
       members[static_cast<size_t>(member)] = rec;
     }
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(members[i].refined,
-                batch.per_query[i].stats.edit_distance_calls)
+      EXPECT_EQ(members[i].candidates, batch.per_query[i].stats.candidates)
           << "member " << i << (threads == nullptr ? " inline" : " pooled");
     }
   }
@@ -284,7 +283,7 @@ TEST_F(FlightRecorderTest, BatchMembersCountExactlyTheirOwnBandedCells) {
     for (const FlightRecord& rec : records) {
       if (std::string(rec.op) != "batch_knn") continue;
       batch_id = rec.query_id;
-      batch_cells = rec.bounded_cells;
+      batch_cells = rec.ted_cells;
     }
     std::vector<int64_t> member_cells(queries.size(), -1);
     int64_t member_sum = 0;
@@ -293,8 +292,8 @@ TEST_F(FlightRecorderTest, BatchMembersCountExactlyTheirOwnBandedCells) {
       const int64_t member = rec.query_id - batch_id - 1;
       ASSERT_GE(member, 0) << where;
       ASSERT_LT(member, static_cast<int64_t>(queries.size())) << where;
-      member_cells[static_cast<size_t>(member)] = rec.bounded_cells;
-      member_sum += rec.bounded_cells;
+      member_cells[static_cast<size_t>(member)] = rec.ted_cells;
+      member_sum += rec.ted_cells;
     }
     EXPECT_GT(delta, 0) << where;
     EXPECT_EQ(member_sum, delta) << where;

@@ -1,6 +1,7 @@
 #include "filters/histogram_filter.h"
 
 #include <memory>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -47,44 +48,52 @@ TEST(HistogramFilterTest, IdenticalTreesBoundZero) {
             0);
 }
 
-TEST(HistogramFilterTest, LabelBoundHalvesL1) {
-  HistogramFilter::Options o;
-  o.use_degree = false;
-  o.use_scalars = false;
-  HistogramFilter filter(o);
+/// The combined bound of the default filter on two bracket trees, checked
+/// sound against the exact distance.
+int CombinedBound(const std::string& a, const std::string& b) {
+  HistogramFilter filter;
   auto dict = std::make_shared<LabelDictionary>();
-  Tree a = MakeTree("a{b c}", dict);
-  Tree b = MakeTree("a{x y}", dict);  // label L1 = 4
-  EXPECT_EQ(filter.Bound(filter.ExtractFeatures(a),
-                         filter.ExtractFeatures(b)),
-            2);
+  const Tree ta = MakeTree(a, dict);
+  const Tree tb = MakeTree(b, dict);
+  const int bound =
+      filter.Bound(filter.ExtractFeatures(ta), filter.ExtractFeatures(tb));
+  EXPECT_LE(bound, TreeEditDistance(ta, tb)) << a << " vs " << b;
+  return bound;
 }
 
-TEST(HistogramFilterTest, DegreeBoundThirdsL1) {
-  HistogramFilter::Options o;
-  o.use_label = false;
-  o.use_scalars = false;
-  HistogramFilter filter(o);
-  auto dict = std::make_shared<LabelDictionary>();
-  Tree a = MakeTree("a{b c d}", dict);   // degrees {3,0,0,0}
-  Tree b = MakeTree("a{b{c{d}}}", dict);  // degrees {1,1,1,0}
-  // Histograms: {0:3, 3:1} vs {0:1, 1:3} -> L1 = 2 + 3 + 1 = 6 -> bound 2.
-  EXPECT_EQ(filter.Bound(filter.ExtractFeatures(a),
-                         filter.ExtractFeatures(b)),
-            2);
+// Each case below makes one component the maximum of the combined bound,
+// with the others strictly below it, so the component's formula is pinned.
+
+TEST(HistogramFilterTest, LabelBoundIsCeilHalfL1) {
+  // Label L1 = 5 -> ceil(5/2) = 3; degree L1 = 3 -> 1; size and leaves
+  // differ by 1, heights are equal.
+  EXPECT_EQ(CombinedBound("a{b c d}", "a{x y}"), 3);
 }
 
-TEST(HistogramFilterTest, ScalarBounds) {
-  HistogramFilter::Options o;
-  o.use_label = false;
-  o.use_degree = false;
-  HistogramFilter filter(o);
-  auto dict = std::make_shared<LabelDictionary>();
-  Tree a = MakeTree("a{b{c{d}}}", dict);  // height 4, size 4, leaves 1
-  Tree b = MakeTree("a", dict);           // height 1, size 1, leaves 1
-  EXPECT_EQ(filter.Bound(filter.ExtractFeatures(a),
-                         filter.ExtractFeatures(b)),
-            3);
+TEST(HistogramFilterTest, DegreeBoundIsCeilThirdL1) {
+  // One label, 9 nodes, height 5 and 5 leaves each; degree histograms
+  // {5:1, 1:3, 0:5} and {2:4, 0:5}: L1 = 8 -> ceil(8/3) = 3.
+  EXPECT_EQ(CombinedBound("a{a a a a a{a{a{a}}}}", "a{a{a{a{a a} a} a} a}"), 3);
+}
+
+TEST(HistogramFilterTest, HeightBoundIsTheHeightDifference) {
+  // One label, 8 nodes, 2 leaves and the same degree histogram each;
+  // heights 7 and 5.
+  EXPECT_EQ(CombinedBound("a{a{a{a{a{a{a a}}}}}}", "a{a{a{a}} a{a{a{a}}}}"), 2);
+}
+
+TEST(HistogramFilterTest, SizeBoundIsTheSizeDifference) {
+  // One label, height 5 and 2 leaves each; sizes 9 and 6: label L1 = 3 ->
+  // 2, degree L1 = 3 -> 1.
+  EXPECT_EQ(CombinedBound("a{a{a{a{a}}} a{a{a{a}}}}", "a{a{a{a{a}}} a}"), 3);
+}
+
+TEST(HistogramFilterTest, LeafBoundIsTheLeafDifference) {
+  // One label, 13 nodes and height 5 each; 9 leaves against 3: degree
+  // histograms {9:1, 1:3, 0:9} and {3:1, 1:9, 0:3}, L1 = 14 -> 5.
+  EXPECT_EQ(CombinedBound("a{a{a{a{a}}} a a a a a a a a}",
+                          "a{a{a{a{a}}} a{a{a{a}}} a{a{a{a}}}}"),
+            6);
 }
 
 TEST(HistogramFilterTest, FoldedLabelBucketsStillSound) {

@@ -2,30 +2,41 @@
 // filter-and-refine pipeline tells a coherent story: registry deltas around
 // real Range/Knn/BatchKnn workloads must agree with the per-query
 // QueryStats the engine already returns, respect the pipeline's funnel
-// invariants (refined <= filtered <= database size), and render to JSON
+// invariants (results <= candidates <= database size), and render to JSON
 // that matches the snapshot accessors. Everything runs sequentially
 // (pool = nullptr) so the counters are exactly determined; the thread-pool
 // metrics have documented cross-window skew and are deliberately not
 // asserted tightly here.
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "filters/bibranch_filter.h"
 #include "gtest/gtest.h"
+#include "json_validator.h"
+#include "search/similarity_join.h"
 #include "search/similarity_search.h"
 #include "search/tree_database.h"
 #include "test_util.h"
 #include "ted/cost_model.h"
 #include "ted/zhang_shasha.h"
+#include "util/flight_recorder.h"
 #include "util/metrics.h"
 #include "util/random.h"
+#include "util/structured_log.h"
 #include "util/trace.h"
+#include "util/triage.h"
 
 namespace treesim {
 namespace {
 
+using test::JsonValue;
+using test::ParseJson;
 using testing::MakeLabelPool;
 using testing::RandomTree;
 
@@ -85,20 +96,19 @@ TEST_F(ObservabilityE2eTest, RangeCountersAgreeWithQueryStats) {
       MetricsRegistry::Global().Snapshot().DiffSince(before);
 
   EXPECT_EQ(d.counter("search.range.queries"), kQueries);
-  // The funnel: refined == candidates for range queries, both bounded by
-  // what the filter saw, which is bounded by the database.
+  // The funnel: candidates are bounded by the database, results by the
+  // candidates.
   EXPECT_EQ(d.counter("search.range.candidates"), total.candidates);
-  EXPECT_EQ(d.counter("search.range.refined"), total.edit_distance_calls);
   EXPECT_EQ(d.counter("search.range.results"), total.results);
   EXPECT_EQ(d.counter("search.range.results"), results);
-  EXPECT_LE(d.counter("search.range.refined"),
+  EXPECT_LE(d.counter("search.range.results"),
             d.counter("search.range.candidates"));
   EXPECT_LE(d.counter("search.range.candidates"),
             int64_t{kDbSize} * kQueries);
-  // Every refinement is one bounded-TED call (plus any the filter itself
+  // Every candidate is one bounded-TED call (plus any the filter itself
   // issued; BiBranch issues none).
   EXPECT_GE(d.counter("ted.bounded_calls"),
-            d.counter("search.range.refined"));
+            d.counter("search.range.candidates"));
 
   // Stage latency histograms: one sample per query, microseconds coherent
   // with the wall-clock QueryStats totals (histograms round down per
@@ -137,31 +147,31 @@ TEST_F(ObservabilityE2eTest, KnnCountersAgreeWithQueryStats) {
       MetricsRegistry::Global().Snapshot().DiffSince(before);
 
   EXPECT_EQ(d.counter("search.knn.queries"), kQueries);
-  // Algorithm 2 computes a bound for every tree, then refines a prefix:
-  // refined <= bounds_computed == |D| * queries.
+  // Algorithm 2 computes a bound for every tree, then verifies a prefix:
+  // candidates <= bounds_computed == |D| * queries.
   EXPECT_EQ(d.counter("search.knn.bounds_computed"),
             int64_t{kDbSize} * kQueries);
-  EXPECT_EQ(d.counter("search.knn.refined"), total.edit_distance_calls);
-  EXPECT_LE(d.counter("search.knn.refined"),
+  EXPECT_EQ(d.counter("search.knn.candidates"), total.candidates);
+  EXPECT_LE(d.counter("search.knn.candidates"),
             d.counter("search.knn.bounds_computed"));
   EXPECT_EQ(d.counter("search.knn.results"), total.results);
   EXPECT_GE(d.counter("ted.bounded_calls"),
-            d.counter("search.knn.refined"));
+            d.counter("search.knn.candidates"));
 
-  const MetricsSnapshot::HistogramValue* refined_per_query =
-      d.histogram("search.knn.refined_per_query");
-  ASSERT_NE(refined_per_query, nullptr);
-  EXPECT_EQ(refined_per_query->count, kQueries);
-  EXPECT_EQ(refined_per_query->sum, total.edit_distance_calls);
-  // The early break can never refine fewer than k candidates.
-  EXPECT_GE(refined_per_query->sum, int64_t{3} * kQueries);
+  const MetricsSnapshot::HistogramValue* candidates_per_query =
+      d.histogram("search.knn.candidates_per_query");
+  ASSERT_NE(candidates_per_query, nullptr);
+  EXPECT_EQ(candidates_per_query->count, kQueries);
+  EXPECT_EQ(candidates_per_query->sum, total.candidates);
+  // The early break can never verify fewer than k candidates.
+  EXPECT_GE(candidates_per_query->sum, int64_t{3} * kQueries);
 
   // bound_gap samples one gap (exact - bound >= 0 by soundness) per
-  // refinement; its count matches the refinement counter.
+  // candidate; its count matches the candidate counter.
   const MetricsSnapshot::HistogramValue* gap =
       d.histogram("search.knn.bound_gap");
   ASSERT_NE(gap, nullptr);
-  EXPECT_EQ(gap->count, total.edit_distance_calls);
+  EXPECT_EQ(gap->count, total.candidates);
   EXPECT_GE(gap->sum, 0);
 
   const MetricsSnapshot::HistogramValue* filter_h =
@@ -181,8 +191,7 @@ TEST_F(ObservabilityE2eTest, BatchKnnMatchesPerQueryAccounting) {
       MetricsRegistry::Global().Snapshot().DiffSince(before);
   EXPECT_EQ(d.counter("search.batch_knn.queries"), kQueries);
   EXPECT_EQ(d.counter("search.knn.queries"), kQueries);
-  EXPECT_EQ(d.counter("search.knn.refined"),
-            batch.combined.edit_distance_calls);
+  EXPECT_EQ(d.counter("search.knn.candidates"), batch.combined.candidates);
 }
 
 /// Minimal extraction of `"key":<integer>` from the flat JSON the snapshot
@@ -284,8 +293,6 @@ TEST_F(ObservabilityE2eTest, WeightedCountersAgreeWithQueryStats) {
   EXPECT_EQ(d.counter("search.range_weighted.queries"), kQueries);
   EXPECT_EQ(d.counter("search.range_weighted.candidates"),
             range_total.candidates);
-  EXPECT_EQ(d.counter("search.range_weighted.refined"),
-            range_total.edit_distance_calls);
   EXPECT_EQ(d.counter("search.range_weighted.results"), range_total.results);
   const MetricsSnapshot::HistogramValue* per_query =
       d.histogram("search.range_weighted.candidates_per_query");
@@ -296,13 +303,13 @@ TEST_F(ObservabilityE2eTest, WeightedCountersAgreeWithQueryStats) {
   EXPECT_EQ(d.counter("search.knn_weighted.queries"), kQueries);
   EXPECT_EQ(d.counter("search.knn_weighted.bounds_computed"),
             int64_t{kDbSize} * kQueries);
-  EXPECT_EQ(d.counter("search.knn_weighted.refined"),
-            knn_total.edit_distance_calls);
+  EXPECT_EQ(d.counter("search.knn_weighted.candidates"),
+            knn_total.candidates);
   EXPECT_EQ(d.counter("search.knn_weighted.results"), knn_total.results);
   const MetricsSnapshot::HistogramValue* gap =
       d.histogram("search.knn_weighted.bound_gap");
   ASSERT_NE(gap, nullptr);
-  EXPECT_EQ(gap->count, knn_total.edit_distance_calls);
+  EXPECT_EQ(gap->count, knn_total.candidates);
   EXPECT_GE(gap->sum, 0);  // clamped (+inf) distances must not overflow it
   for (const char* name :
        {"search.range_weighted.filter_micros",
@@ -340,6 +347,76 @@ TEST_F(ObservabilityE2eTest, WeightedQueryStagesAppearInTrace) {
     }
   }
   Tracer::Global().Clear();
+}
+
+/// The `key=value` pairs of a crash-dump record line.
+std::map<std::string, std::string> DumpFields(const std::string& line) {
+  std::map<std::string, std::string> out;
+  std::istringstream words(line);
+  std::string word;
+  while (words >> word) {
+    const size_t eq = word.find('=');
+    if (eq != std::string::npos) out[word.substr(0, eq)] = word.substr(eq + 1);
+  }
+  return out;
+}
+
+TEST_F(ObservabilityE2eTest, EverySinkWritesOneRecordUnderOneName) {
+  // The query log, the flight recorder and the crash dump are fed from one
+  // FlightRecord: for a range query and a self join, each carries every
+  // kFlightFields key with the same value, and all three name the op alike.
+  const std::string dir = ::testing::TempDir();
+  const std::string log_path = dir + "/observability_e2e_sinks.jsonl";
+  StructuredLog& log = StructuredLog::Global();
+  ASSERT_TRUE(log.OpenFile(log_path).ok());
+  FlightRecorder::Global().ResetForTest();
+  static_cast<void>(engine_->Range(queries_[0], /*tau=*/4));
+  const SimilarityJoin join(db_.get(), std::make_unique<BiBranchFilter>());
+  static_cast<void>(join.SelfJoin(/*tau=*/2));
+  log.Close();
+  SetTriageDir(dir.c_str());
+  ASSERT_TRUE(WriteTriageDump("sinks"));
+
+  std::map<int64_t, JsonValue> log_lines;
+  std::ifstream log_in(log_path);
+  for (std::string line; std::getline(log_in, line);) {
+    JsonValue doc;
+    ASSERT_TRUE(ParseJson(line, &doc)) << line;
+    log_lines[static_cast<int64_t>(doc.Find("query_id")->number_value)] = doc;
+  }
+  std::map<int64_t, std::map<std::string, std::string>> dump_lines;
+  std::ifstream dump_in(LastTriagePath());
+  for (std::string line; std::getline(dump_in, line);) {
+    if (line.rfind("record ", 0) != 0) continue;
+    std::map<std::string, std::string> fields = DumpFields(line);
+    dump_lines[std::stoll(fields["query_id"])] = fields;
+  }
+
+  const std::vector<FlightRecord> records = FlightRecorder::Global().Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_STREQ(records[0].op, "range");
+  EXPECT_STREQ(records[1].op, "self_join");
+  for (const FlightRecord& rec : records) {
+    ASSERT_EQ(log_lines.count(rec.query_id), 1u) << rec.op;
+    ASSERT_EQ(dump_lines.count(rec.query_id), 1u) << rec.op;
+    const JsonValue& logged = log_lines[rec.query_id];
+    std::map<std::string, std::string>& dumped = dump_lines[rec.query_id];
+    for (const FlightField& f : kFlightFields) {
+      ASSERT_TRUE(logged.Has(f.key)) << rec.op << " log lacks " << f.key;
+      EXPECT_EQ(logged.Find(f.key)->number_value,
+                static_cast<double>(rec.*f.member))
+          << rec.op << " " << f.key;
+      EXPECT_EQ(dumped[f.key], std::to_string(rec.*f.member))
+          << rec.op << " " << f.key;
+    }
+    EXPECT_EQ(logged.Find("event")->string_value, rec.op);
+    EXPECT_EQ(dumped["op"], rec.op);
+    EXPECT_EQ(logged.Find("slow")->bool_value, rec.slow) << rec.op;
+    EXPECT_EQ(dumped["slow"], rec.slow ? "1" : "0") << rec.op;
+  }
+  FlightRecorder::Global().ResetForTest();
+  std::remove(log_path.c_str());
+  std::remove(LastTriagePath());
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ constexpr int kWorkers = 8;
 /// Every count of `stats`, that is all but the timings.
 std::vector<int64_t> Counts(const QueryStats& stats) {
   return {stats.database_size, stats.candidates, stats.results,
-          stats.edit_distance_calls, stats.ted_cells};
+          stats.ted_cells};
 }
 
 /// `ask(i)` for i in [0, n), concurrently over `pool`'s workers, each

@@ -146,8 +146,7 @@ TEST_F(SearchEquivalenceTest, KnnResultsMatchSequentialScan) {
         const KnnResult got = engine->Knn(query, k);
         EXPECT_EQ(got.neighbors, expected.neighbors)
             << engine->filter_name() << " k=" << k;
-        EXPECT_LE(got.stats.edit_distance_calls,
-                  expected.stats.edit_distance_calls);
+        EXPECT_LE(got.stats.candidates, expected.stats.candidates);
       }
     }
   }
@@ -185,7 +184,6 @@ TEST_F(SearchEquivalenceTest, StatsAreConsistent) {
   Tree query = RandomTree(12, pool_, dict_, *rng_);
   const RangeResult r = engine.Range(query, 4);
   EXPECT_EQ(r.stats.database_size, db_->size());
-  EXPECT_EQ(r.stats.edit_distance_calls, r.stats.candidates);
   EXPECT_EQ(r.stats.results, static_cast<int64_t>(r.matches.size()));
   EXPECT_GE(r.stats.filter_seconds, 0.0);
   EXPECT_GE(r.stats.refine_seconds, 0.0);

@@ -18,6 +18,7 @@
 #include "search/similarity_join.h"
 #include "search/similarity_search.h"
 #include "ted/cost_model.h"
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace treesim {
@@ -61,38 +62,11 @@ std::vector<std::string> ReadLines(const std::string& path) {
   return lines;
 }
 
-TEST(LogRecordTest, RendersTypedFieldsInCallOrder) {
-  LogRecord rec;
-  rec.Str("event", "range").Int("tau", 3).Double("ratio", 0.5).Bool("slow",
-                                                                    false);
-  EXPECT_EQ(rec.ToJsonLine(),
-            "{\"event\":\"range\",\"tau\":3,\"ratio\":0.5,\"slow\":false}");
-}
-
-TEST(LogRecordTest, EscapesStringsAndParsesBack) {
-  LogRecord rec;
-  rec.Str("path", "a\\b").Str("quote", "say \"hi\"").Str("ctl", "a\nb\tc");
-  JsonValue doc;
-  ASSERT_TRUE(ParseJson(rec.ToJsonLine(), &doc));
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.Find("path")->string_value, "a\\b");
-  EXPECT_EQ(doc.Find("quote")->string_value, "say \"hi\"");
-  EXPECT_EQ(doc.Find("ctl")->string_value, "a\nb\tc");
-}
-
-TEST(LogRecordTest, NonFiniteDoublesBecomeNull) {
-  LogRecord rec;
-  rec.Double("nan", 0.0 / 0.0);
-  JsonValue doc;
-  ASSERT_TRUE(ParseJson(rec.ToJsonLine(), &doc));
-  EXPECT_EQ(doc.Find("nan")->kind, JsonValue::Kind::kNull);
-}
-
 TEST(StructuredLogTest, DisabledSinkWritesNothing) {
   StructuredLog& log = StructuredLog::Global();
   EXPECT_FALSE(log.enabled());
   EXPECT_FALSE(log.ShouldLog(1'000'000));
-  LogRecord rec;
+  JsonObject rec;
   rec.Str("event", "ignored");
   log.Write(rec);  // must be a silent no-op
 }
@@ -100,11 +74,13 @@ TEST(StructuredLogTest, DisabledSinkWritesNothing) {
 #if TREESIM_METRICS_ENABLED
 
 // The required key set for every engine-emitted record (the contract
-// DESIGN.md documents); "tau"/"k" are event-specific and checked per event.
+// DESIGN.md documents): the flight record's fields under their
+// kFlightFields keys, then event, filter and slow; "tau"/"k" are
+// event-specific and checked per event.
 const char* const kRequiredKeys[] = {
     "ts_micros",     "event",         "query_id",     "filter",
-    "database_size", "candidates",    "refined",      "results",
-    "filter_micros", "refine_micros", "total_micros", "bounded_cells",
+    "param",         "database_size", "candidates",   "results",
+    "filter_micros", "refine_micros", "total_micros", "ted_cells",
     "slow"};
 
 void ValidateQueryRecord(const std::string& line) {
@@ -117,18 +93,16 @@ void ValidateQueryRecord(const std::string& line) {
   // Counters are non-negative and the candidate funnel only narrows.
   const double database_size = doc.Find("database_size")->number_value;
   const double candidates = doc.Find("candidates")->number_value;
-  const double refined = doc.Find("refined")->number_value;
   const double results = doc.Find("results")->number_value;
   EXPECT_GE(database_size, 0);
   EXPECT_GE(candidates, 0);
-  EXPECT_GE(refined, 0);
   EXPECT_GE(results, 0);
   EXPECT_LE(candidates, database_size);
   EXPECT_LE(results, database_size);
   EXPECT_GE(doc.Find("filter_micros")->number_value, 0);
   EXPECT_GE(doc.Find("refine_micros")->number_value, 0);
   EXPECT_GE(doc.Find("total_micros")->number_value, 0);
-  EXPECT_GE(doc.Find("bounded_cells")->number_value, 0);
+  EXPECT_GE(doc.Find("ted_cells")->number_value, 0);
   EXPECT_GE(doc.Find("query_id")->number_value, 0);
   EXPECT_TRUE(doc.Find("slow")->is_bool());
 }

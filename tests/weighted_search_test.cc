@@ -80,8 +80,7 @@ TEST_F(WeightedSearchTest, KnnMatchesWeightedSequentialScan) {
           sequential_->KnnWeighted(query, k, costs_);
       const WeightedKnnResult got = bibranch.KnnWeighted(query, k, costs_);
       EXPECT_EQ(got.neighbors, expected.neighbors) << "k=" << k;
-      EXPECT_LE(got.stats.edit_distance_calls,
-                expected.stats.edit_distance_calls);
+      EXPECT_LE(got.stats.candidates, expected.stats.candidates);
     }
   }
 }

@@ -86,6 +86,16 @@ endforeach()
 run_cli("wrote" generate --kind=synthetic --count=5 --size=20 --fanout=3
         --decay=0.1 --out=${TMP}/real_flags.trees)
 run_cli_rejects(stats --data=${data} --flight-recorder=-1)
+# A flag the command does not read is refused before it runs: a misspelt
+# --tau would otherwise answer at the default distance, and range and knn
+# have no pool.
+run_cli_rejects(range --data=${data} ${query} --tua=5)
+run_cli_rejects(range --data=${data} ${query} --threads=4)
+run_cli_rejects(knn --data=${data} ${query} --threads=2)
+run_cli_rejects(import --xml=${xml} --out=${TMP}/never.trees
+                --structure-only=ture)
+run_cli("imported 2 records" import --xml=${xml} --out=${TMP}/bare.trees
+        --structure-only)
 
 # Error paths exit non-zero.
 execute_process(COMMAND ${CLI} stats --data=/no/such/file

@@ -73,6 +73,12 @@ Checks, over ``src/`` (and headers under ``fuzz/`` if any appear):
               precisely); a sleep either races or wastes latency, and a
               detached thread outlives shutdown — both are exactly the
               bugs the upcoming serverd work cannot afford.
+  rawjson     One JSON string escaper: the ``\\u%04x`` control-character
+              format may appear in a C++ file under ``src/``, ``bench/``
+              or ``tools/`` only in ``src/util/json.cc``, the writer
+              behind util/json.h. Every JSON sink (query log, metrics
+              dump, bench reports) renders through JsonObject; a second
+              escaper drifts from the first.
 
 Exit status 0 when clean, 1 when any finding is reported. Run from
 anywhere: paths are resolved relative to the repo root.
@@ -233,6 +239,17 @@ class Linter:
     # ---- chrono ---------------------------------------------------------
 
     CHRONO_RE = re.compile(r"\bstd\s*::\s*chrono\b|#\s*include\s*<chrono>")
+
+    RAW_JSON_RE = re.compile(r"\\\\u%0?4[xX]")
+
+    def check_raw_json(self, path: pathlib.Path, lines: list[str]) -> None:
+        if path == SRC_ROOT / "util" / "json.cc":
+            return
+        for i, raw in enumerate(lines, start=1):
+            if self.RAW_JSON_RE.search(raw):
+                self.report(path, i, "rawjson",
+                            "JSON string escaping outside src/util/json.cc; "
+                            "render through JsonObject (util/json.h)")
 
     def check_chrono(self, path: pathlib.Path, lines: list[str]) -> None:
         if path.is_relative_to(SRC_ROOT / "util"):
@@ -492,8 +509,8 @@ class Linter:
         for path, lines in {**headers, **sources}.items():
             self.check_discarded_status(path, lines, names)
 
-        # rawsync additionally covers tools/ and bench/ (the other rules
-        # keep their src/ + fuzz/ scope).
+        # rawsync, chrono and rawjson additionally cover tools/ and bench/
+        # (the other rules keep their src/ + fuzz/ scope).
         sync_files = dict(headers)
         sync_files.update(sources)
         for root_name in ("tools", "bench"):
@@ -507,6 +524,7 @@ class Linter:
         for path, lines in sync_files.items():
             self.check_raw_sync(path, lines)
             self.check_chrono(path, lines)
+            self.check_raw_json(path, lines)
 
         if self.findings:
             for finding in self.findings:
@@ -609,9 +627,21 @@ def self_test() -> int:
             "  // Sink(std::move(tag)) again would copy too.\n"
             "  Sink(std::move(rows));\n"
             "}\n"),
+        # rawjson: a second JSON string escaper in a bench driver; the
+        # one writer's own escaper stays clean.
+        "bench/bad_json.cc": (
+            "void Escape(std::string& out, char c) {\n"
+            "  char buf[8];\n"
+            "  std::snprintf(buf, sizeof(buf), \"\\\\u%04x\", c);\n"
+            "}\n"),
+        "src/util/json.cc": (
+            "void AppendString(std::string& out, char c) {\n"
+            "  char buf[8];\n"
+            "  std::snprintf(buf, sizeof(buf), \"\\\\u%04x\", c);\n"
+            "}\n"),
     }
     expected = {"rawwait": 4, "rawsync": 1, "rawlog": 1, "using": 1,
-                "hotalloc": 3, "badmove": 2, "sigsafe": 3}
+                "hotalloc": 3, "badmove": 2, "sigsafe": 3, "rawjson": 1}
 
     try:
         with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:

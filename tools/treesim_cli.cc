@@ -12,7 +12,8 @@
 //   join       self similarity join of a forest file
 //   cluster    k-medoids clustering of a forest file
 //
-// Run `treesim_cli <command> --help` (or no arguments) for usage.
+// Run `treesim_cli` with no arguments for usage. A flag the command does
+// not read is an error (exit 1), not a silent default.
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
@@ -264,11 +265,17 @@ int CmdImport(const FlagParser& flags) {
   if (xml_path.empty() || out.empty()) {
     return Fail(Status::InvalidArgument("need --xml and --out"));
   }
+  // Checked as IntFlag checks numbers: a misspelt value is an error.
+  const std::string structure_only = flags.GetString("structure-only", "0");
+  bool ignore_text = false;
+  if (!ParseBoolFlag(structure_only, &ignore_text)) {
+    return Fail(Status::InvalidArgument(
+        "--structure-only=" + structure_only +
+        " is not one of true|false|yes|no|1|0"));
+  }
   auto labels = std::make_shared<LabelDictionary>();
   XmlParseOptions options;
-  if (flags.GetBool("structure-only", false)) {
-    options.text_mode = XmlParseOptions::TextMode::kIgnore;
-  }
+  if (ignore_text) options.text_mode = XmlParseOptions::TextMode::kIgnore;
   auto records = LoadXmlCorpus(xml_path, labels, options);
   if (!records.ok()) return Fail(records.status());
   const Status saved = SaveForest(*records, out);
@@ -427,7 +434,7 @@ int CmdKnn(const FlagParser& flags) {
   std::printf("%d nearest neighbors (%s refined %lld/%lld)\n",
               static_cast<int>(r.neighbors.size()),
               engine.filter_name().c_str(),
-              static_cast<long long>(r.stats.edit_distance_calls),
+              static_cast<long long>(r.stats.candidates),
               static_cast<long long>(r.stats.database_size));
   for (const auto& [id, dist] : r.neighbors) {
     std::printf("  #%d d=%d %s\n", id, dist,
@@ -450,7 +457,7 @@ int CmdJoin(const FlagParser& flags) {
   const JoinResult r = join.SelfJoin(tau, pool->get());
   std::printf("%zu pairs within distance %d (refined %lld of %lld pairs)\n",
               r.pairs.size(), tau,
-              static_cast<long long>(r.stats.edit_distance_calls),
+              static_cast<long long>(r.stats.candidates),
               static_cast<long long>(r.stats.database_size));
   const int show = std::min<int>(20, static_cast<int>(r.pairs.size()));
   for (int i = 0; i < show; ++i) {
@@ -529,19 +536,33 @@ int CmdCrashSelftest(const FlagParser& flags) {
                                       "' (want check|abort|segv|dump)"));
 }
 
-int Dispatch(const std::string& command, const FlagParser& flags) {
-  if (command == "crash-selftest") return CmdCrashSelftest(flags);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "import") return CmdImport(flags);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "distance") return CmdDistance(flags);
-  if (command == "mapping") return CmdMapping(flags);
-  if (command == "patch") return CmdPatch(flags);
-  if (command == "range") return CmdRange(flags);
-  if (command == "knn") return CmdKnn(flags);
-  if (command == "join") return CmdJoin(flags);
-  if (command == "cluster") return CmdCluster(flags);
-  return Usage();
+/// One command and the flags it reads. Main rejects every other flag but
+/// the observability ones before the command runs.
+struct Command {
+  const char* name;
+  int (*run)(const FlagParser&);
+  std::vector<std::string> flags;
+};
+
+const Command* FindCommand(const std::string& name) {
+  static const std::vector<Command>* const commands = new std::vector<Command>{
+      {"crash-selftest", CmdCrashSelftest, {"mode"}},
+      {"generate", CmdGenerate,
+       {"kind", "count", "out", "seed", "labels", "size", "fanout", "decay"}},
+      {"import", CmdImport, {"xml", "out", "structure-only"}},
+      {"stats", CmdStats, {"data"}},
+      {"distance", CmdDistance, {"a", "b", "q"}},
+      {"mapping", CmdMapping, {"a", "b"}},
+      {"patch", CmdPatch, {"a", "b"}},
+      {"range", CmdRange, {"data", "query", "tau", "filter"}},
+      {"knn", CmdKnn, {"data", "query", "k", "filter"}},
+      {"join", CmdJoin, {"data", "tau", "filter", "threads"}},
+      {"cluster", CmdCluster, {"data", "k", "seed"}},
+  };
+  for (const Command& command : *commands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
 }
 
 /// Dumps the registry after the command so the numbers cover everything the
@@ -650,25 +671,17 @@ int ConfigureFlightRecorder(const FlagParser& flags, bool* dump_after) {
   return 0;
 }
 
+/// One line per record: every kFlightFields key, then op and slow, as the
+/// crash dump's record lines.
 void DumpFlightRecorder() {
   const std::vector<FlightRecord> records = FlightRecorder::Global().Snapshot();
   std::printf("== flight recorder (%zu of last %d queries) ==\n",
               records.size(), FlightRecorder::Global().capacity());
   for (const FlightRecord& r : records) {
-    std::printf("query_id=%lld op=%s param=%lld db=%lld candidates=%lld "
-                "refined=%lld results=%lld filter_us=%lld refine_us=%lld "
-                "total_us=%lld bounded_cells=%lld slow=%d\n",
-                static_cast<long long>(r.query_id), r.op,
-                static_cast<long long>(r.param),
-                static_cast<long long>(r.database_size),
-                static_cast<long long>(r.candidates),
-                static_cast<long long>(r.refined),
-                static_cast<long long>(r.results),
-                static_cast<long long>(r.filter_micros),
-                static_cast<long long>(r.refine_micros),
-                static_cast<long long>(r.total_micros),
-                static_cast<long long>(r.bounded_cells),
-                r.slow ? 1 : 0);
+    for (const FlightField& f : kFlightFields) {
+      std::printf("%s=%lld ", f.key, static_cast<long long>(r.*f.member));
+    }
+    std::printf("op=%s slow=%d\n", r.op, r.slow ? 1 : 0);
   }
 }
 
@@ -676,7 +689,18 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   if (command == "--version" || command == "version") return PrintVersion();
+  const Command* const cmd = FindCommand(command);
+  if (cmd == nullptr) return Usage();
   const FlagParser flags(argc - 1, argv + 1);
+  std::vector<std::string> known = cmd->flags;
+  known.insert(known.end(), {"metrics", "metrics-out", "query-log",
+                             "slow-query-ms", "trace", "flight-recorder",
+                             "triage-dir"});
+  const std::vector<std::string> unknown = flags.UnknownKeys(known);
+  if (!unknown.empty()) {
+    return Fail(Status::InvalidArgument(command + " does not take --" +
+                                        unknown.front()));
+  }
   // Crash triage is always armed: it costs nothing until a fatal signal or
   // TREESIM_CHECK failure, and then preserves the telemetry of the run.
   InstallCrashHandler();
@@ -691,7 +715,7 @@ int Main(int argc, char** argv) {
   const int flight_code = ConfigureFlightRecorder(flags, &dump_flight);
   if (flight_code != 0) return flight_code;
   if (!trace_path.empty()) Tracer::Global().Enable();
-  const int code = Dispatch(command, flags);
+  const int code = cmd->run(flags);
   StructuredLog::Global().Close();
   if (dump_flight) DumpFlightRecorder();
   if (!trace_path.empty()) {

@@ -100,9 +100,7 @@ def render(dump):
         print(f"  {m['kind']} {m['name']} {' '.join(m['rest'])}")
     print(f"flight records: {len(dump['flight_records'])}")
     for r in dump["flight_records"]:
-        print(f"  query_id={r.get('query_id', '?')} op={r.get('op', '?')} "
-              f"total_us={r.get('total_us', '?')} "
-              f"results={r.get('results', '?')} slow={r.get('slow', '?')}")
+        print("  " + " ".join(f"{k}={v}" for k, v in r.items()))
     print(f"trace spans: {len(dump['trace_spans'])}")
     for s in dump["trace_spans"][:20]:
         print(f"  thread={s.get('thread', '?')} "
