@@ -122,22 +122,6 @@ BENCHMARK_REGISTER_F(ProfilePairFixture, OptimisticBound)
     ->Arg(125)
     ->Arg(500);
 
-void BM_OptimisticBoundGreedyVsExact(benchmark::State& state) {
-  auto labels = std::make_shared<LabelDictionary>();
-  SyntheticGenerator gen(ParamsForSize(100), labels, 13);
-  BranchDictionary dict(2);
-  const BranchProfile a = BranchProfile::FromTree(gen.GenerateSeedTree(), dict);
-  const BranchProfile b = BranchProfile::FromTree(gen.GenerateSeedTree(), dict);
-  const MatchingMode mode = static_cast<MatchingMode>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(OptimisticBound(a, b, mode));
-  }
-}
-BENCHMARK(BM_OptimisticBoundGreedyVsExact)
-    ->Arg(static_cast<int>(MatchingMode::kExact))
-    ->Arg(static_cast<int>(MatchingMode::kGreedy))
-    ->Arg(static_cast<int>(MatchingMode::kAuto));
-
 }  // namespace
 }  // namespace treesim
 

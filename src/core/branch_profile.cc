@@ -55,14 +55,11 @@ BranchProfile BranchProfile::FromOccurrences(
            occurrences[j].branch == occurrences[i].branch) {
       ++j;
     }
-    BranchEntry e{occurrences[i].branch, {}, {}};
+    BranchEntry e{occurrences[i].branch, {}};
     e.occurrences.reserve(j - i);
-    e.posts_sorted.reserve(j - i);
     for (size_t o = i; o < j; ++o) {
       e.occurrences.emplace_back(occurrences[o].pre, occurrences[o].post);
-      e.posts_sorted.push_back(occurrences[o].post);
     }
-    std::sort(e.posts_sorted.begin(), e.posts_sorted.end());
     p.entries.push_back(std::move(e));
     i = j;
   }
@@ -87,12 +84,6 @@ Status TREESIM_COLD BranchProfile::ValidateInvariants() const {
       return Status::Internal("zero-count entry for branch " +
                               std::to_string(e.branch));
     }
-    if (e.posts_sorted.size() != e.occurrences.size()) {
-      return Status::Internal("posts_sorted size mismatch for branch " +
-                              std::to_string(e.branch));
-    }
-    std::vector<int> posts;
-    posts.reserve(e.occurrences.size());
     for (size_t o = 0; o < e.occurrences.size(); ++o) {
       const auto& [pre, post] = e.occurrences[o];
       if (pre < 1 || pre > tree_size || post < 1 || post > tree_size) {
@@ -103,13 +94,6 @@ Status TREESIM_COLD BranchProfile::ValidateInvariants() const {
         return Status::Internal("occurrences not ascending by preorder for "
                                 "branch " + std::to_string(e.branch));
       }
-      posts.push_back(post);
-    }
-    std::sort(posts.begin(), posts.end());
-    if (posts != e.posts_sorted) {
-      return Status::Internal("posts_sorted is not the sorted occurrence "
-                              "postorders for branch " +
-                              std::to_string(e.branch));
     }
     total = CheckedAdd(total, e.count());
   }

@@ -12,15 +12,14 @@
 namespace treesim {
 
 /// All occurrences of one distinct branch inside one tree, with positional
-/// information (Section 4.2). `occurrences` is sorted by preorder position;
-/// `posts_sorted` holds the same postorder positions sorted ascending (the
-/// two ascending sequences Algorithm 1 builds per branch).
+/// information (Section 4.2). `occurrences` is sorted by preorder position,
+/// so its preorders form the first ascending sequence of Algorithm 1; the
+/// rare 1-D matching that needs the postorders ascending sorts them itself
+/// (MaxPositionalMatching).
 struct BranchEntry {
   BranchId branch = 0;
   /// (preorder, postorder) position pairs, ascending by preorder.
   std::vector<std::pair<int, int>> occurrences;
-  /// Postorder positions, ascending.
-  std::vector<int> posts_sorted;
 
   int count() const { return static_cast<int>(occurrences.size()); }
 };
@@ -62,8 +61,7 @@ struct BranchProfile {
 
   /// Verifies the sparse-vector invariants the filters rely on: q/factor
   /// agree with Theorem 3.3, entries strictly ascending by branch id with
-  /// positive counts, occurrences ascending by preorder, posts_sorted an
-  /// ascending permutation of the occurrence postorders, all positions in
+  /// positive counts, occurrences ascending by preorder, all positions in
   /// [1, tree_size], and total occurrences == tree_size (one branch per
   /// node, Definition 3). O(total occurrences). Debug builds run this at
   /// the end of FromOccurrences(), i.e. on every profile built.

@@ -12,8 +12,20 @@ namespace treesim {
 namespace {
 
 /// Exact matching is only attempted when the edge grid stays small; beyond
-/// this the greedy bound is used (still sound, see MatchingMode docs).
+/// it MaxPositionalMatching takes the 1-D relaxation (still sound).
 constexpr int kExactMatchingGridLimit = 64 * 64;
+
+/// One coordinate of an entry's (pre, post) occurrences, ascending.
+std::vector<int> Ascending(const BranchEntry& e,
+                           int std::pair<int, int>::*coordinate) {
+  std::vector<int> xs;
+  xs.reserve(e.occurrences.size());
+  for (const auto& occurrence : e.occurrences) {
+    xs.push_back(occurrence.*coordinate);
+  }
+  std::sort(xs.begin(), xs.end());
+  return xs;
+}
 
 /// Kuhn's augmenting-path search: tries to (re)assign left node `i`.
 bool TryAugment(const std::vector<std::pair<int, int>>& a,
@@ -72,8 +84,8 @@ int MaxMatchingExact(const std::vector<std::pair<int, int>>& a,
   return matched;
 }
 
-int MaxPositionalMatching(const BranchEntry& a, const BranchEntry& b, int pr,
-                          MatchingMode mode) {
+int MaxPositionalMatching(const BranchEntry& a, const BranchEntry& b,
+                          int pr) {
   const int ca = a.count();
   const int cb = b.count();
   if (ca == 0 || cb == 0) return 0;
@@ -86,28 +98,18 @@ int MaxPositionalMatching(const BranchEntry& a, const BranchEntry& b, int pr,
                ? 1
                : 0;
   }
-  const bool exact = mode == MatchingMode::kExact ||
-                     (mode == MatchingMode::kAuto &&
-                      static_cast<int64_t>(ca) * cb <= kExactMatchingGridLimit);
-  if (exact) {
+  if (static_cast<int64_t>(ca) * cb <= kExactMatchingGridLimit) {
     return MaxMatchingExact(a.occurrences, b.occurrences, pr);
   }
-  // Preorder positions in `occurrences` are already ascending; extract them.
-  std::vector<int> pres_a(a.occurrences.size());
-  std::vector<int> pres_b(b.occurrences.size());
-  for (size_t i = 0; i < a.occurrences.size(); ++i) {
-    pres_a[i] = a.occurrences[i].first;
-  }
-  for (size_t i = 0; i < b.occurrences.size(); ++i) {
-    pres_b[i] = b.occurrences[i].first;
-  }
-  return std::min(MaxMatching1D(pres_a, pres_b, pr),
-                  MaxMatching1D(a.posts_sorted, b.posts_sorted, pr));
+  // Past the grid limit: Section 4.4's minimum of the two 1-D matchings.
+  constexpr auto kPre = &std::pair<int, int>::first;
+  constexpr auto kPost = &std::pair<int, int>::second;
+  return std::min(MaxMatching1D(Ascending(a, kPre), Ascending(b, kPre), pr),
+                  MaxMatching1D(Ascending(a, kPost), Ascending(b, kPost), pr));
 }
 
 int64_t TREESIM_HOT PositionalBranchDistance(const BranchProfile& a,
-                                             const BranchProfile& b, int pr,
-                                             MatchingMode mode) {
+                                             const BranchProfile& b, int pr) {
   TREESIM_CHECK_EQ(a.q, b.q) << "profiles extracted at different levels";
   int64_t dist = 0;
   size_t i = 0;
@@ -116,7 +118,7 @@ int64_t TREESIM_HOT PositionalBranchDistance(const BranchProfile& a,
     const BranchEntry& ea = a.entries[i];
     const BranchEntry& eb = b.entries[j];
     if (ea.branch == eb.branch) {
-      const int m = MaxPositionalMatching(ea, eb, pr, mode);
+      const int m = MaxPositionalMatching(ea, eb, pr);
       dist = CheckedAdd<int64_t>(
           dist, CheckedSub(CheckedAdd(ea.count(), eb.count()),
                            CheckedMul(2, m)));
@@ -139,13 +141,12 @@ int64_t TREESIM_HOT PositionalBranchDistance(const BranchProfile& a,
   return dist;
 }
 
-int OptimisticBound(const BranchProfile& a, const BranchProfile& b,
-                    MatchingMode mode) {
+int OptimisticBound(const BranchProfile& a, const BranchProfile& b) {
   const int factor = a.factor;
   const int pr_min = std::abs(a.tree_size - b.tree_size);
   const int pr_max = std::max(a.tree_size, b.tree_size);
   auto bounded = [&](int pr) {
-    return PositionalBranchDistance(a, b, pr, mode) <=
+    return PositionalBranchDistance(a, b, pr) <=
            CheckedMul<int64_t>(factor, pr);
   };
   // PosBDist(pr) is non-increasing in pr, so `bounded` is monotone and at
@@ -173,10 +174,10 @@ int OptimisticBound(const BranchProfile& a, const BranchProfile& b,
 }
 
 bool RangeFilterPasses(const BranchProfile& a, const BranchProfile& b,
-                       int tau, MatchingMode mode) {
+                       int tau) {
   if (tau < 0) return false;
   if (std::abs(a.tree_size - b.tree_size) > tau) return false;
-  return PositionalBranchDistance(a, b, tau, mode) <=
+  return PositionalBranchDistance(a, b, tau) <=
          CheckedMul<int64_t>(a.factor, tau);
 }
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/positional.h"
 #include "filters/filter_index.h"
 #include "util/hot.h"
 #include "util/logging.h"
@@ -51,7 +52,7 @@ double TREESIM_HOT BiBranchFilter::LowerBound(const FilterQueryContext& ctx,
   const auto& q = static_cast<const BiBranchQueryContext&>(ctx);
   const BranchProfile& data = profiles()[static_cast<size_t>(tree_id)];
   if (options_.positional) {
-    return OptimisticBound(q.profile(), data, options_.matching);
+    return OptimisticBound(q.profile(), data);
   }
   return BranchDistanceLowerBound(q.profile(), data);
 }
@@ -64,7 +65,7 @@ bool TREESIM_HOT BiBranchFilter::MayQualify(const FilterQueryContext& ctx,
   // +inf or huge tau saturates to INT_MAX; NaN admits no tree.
   const int itau = SaturatingFloor<int>(tau, /*if_nan=*/-1);
   if (options_.positional) {
-    return RangeFilterPasses(q.profile(), data, itau, options_.matching);
+    return RangeFilterPasses(q.profile(), data, itau);
   }
   return BranchDistanceLowerBound(q.profile(), data) <= itau;
 }

@@ -7,7 +7,6 @@
 
 #include "core/branch_profile.h"
 #include "core/inverted_file.h"
-#include "core/positional.h"
 #include "filters/filter_index.h"
 #include "util/thread_pool.h"
 
@@ -27,8 +26,6 @@ class BiBranchFilter final : public FilterIndex {
     /// Use positional binary branches (the paper's full method). When
     /// false, only the occurrence counts are compared (plain BDist).
     bool positional = true;
-    /// How per-branch positional matchings are computed; see MatchingMode.
-    MatchingMode matching = MatchingMode::kAuto;
     /// Unused: Build() is sequential. Kept only because existing callers
     /// still set it; it is to be deleted with them.
     ThreadPool* build_pool = nullptr;

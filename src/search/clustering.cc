@@ -14,6 +14,10 @@
 namespace treesim {
 namespace {
 
+/// Lloyd-style passes after which KMedoids stops even if assignments still
+/// move.
+constexpr int kMaxIterations = 20;
+
 /// Pairwise distance access with optional lower-bound pruning. EDist(i, j)
 /// is computed lazily and cached (the medoid-update step revisits pairs).
 class DistanceOracle {
@@ -21,7 +25,7 @@ class DistanceOracle {
   DistanceOracle(const TreeDatabase& db, const KMedoidsOptions& options)
       : db_(db), use_filter_(options.use_filter) {
     if (use_filter_) {
-      dict_ = std::make_unique<BranchDictionary>(options.q);
+      dict_ = std::make_unique<BranchDictionary>(/*q=*/2);
       profiles_.reserve(static_cast<size_t>(db.size()));
       for (int i = 0; i < db.size(); ++i) {
         profiles_.push_back(BranchProfile::FromTree(db.tree(i), *dict_));
@@ -70,59 +74,51 @@ ClusteringResult KMedoids(const TreeDatabase& db,
                           const KMedoidsOptions& options, Rng& rng) {
   TREESIM_CHECK_GE(options.k, 1);
   TREESIM_CHECK_LE(options.k, db.size());
-  TREESIM_CHECK_GE(options.max_iterations, 1);
 
   ClusteringResult result;
   DistanceOracle oracle(db, options);
 
-  if (options.initialization == KMedoidsOptions::Initialization::kRandom) {
-    const std::vector<size_t> init = rng.SampleWithoutReplacement(
-        static_cast<size_t>(db.size()), static_cast<size_t>(options.k));
-    result.medoids.assign(init.begin(), init.end());
-  } else {
-    // k-means++-style seeding: D^2 weighting over the current nearest-seed
-    // distances.
-    result.medoids.push_back(
-        static_cast<int>(rng.UniformIndex(static_cast<size_t>(db.size()))));
-    std::vector<int64_t> nearest(static_cast<size_t>(db.size()));
-    while (static_cast<int>(result.medoids.size()) < options.k) {
-      int64_t total = 0;
-      for (int t = 0; t < db.size(); ++t) {
-        int best = oracle.Distance(t, result.medoids[0]);
-        for (size_t m = 1; m < result.medoids.size(); ++m) {
-          best = std::min(best, oracle.Distance(t, result.medoids[m]));
-        }
-        nearest[static_cast<size_t>(t)] =
-            CheckedMul<int64_t>(best, best);
-        total = CheckedAdd(total, nearest[static_cast<size_t>(t)]);
+  // k-means++-style seeding: D^2 weighting over the current nearest-seed
+  // distances.
+  result.medoids.push_back(
+      static_cast<int>(rng.UniformIndex(static_cast<size_t>(db.size()))));
+  std::vector<int64_t> nearest(static_cast<size_t>(db.size()));
+  while (static_cast<int>(result.medoids.size()) < options.k) {
+    int64_t total = 0;
+    for (int t = 0; t < db.size(); ++t) {
+      int best = oracle.Distance(t, result.medoids[0]);
+      for (size_t m = 1; m < result.medoids.size(); ++m) {
+        best = std::min(best, oracle.Distance(t, result.medoids[m]));
       }
-      int chosen;
-      if (total == 0) {
-        // All trees coincide with a medoid; fall back to the first
-        // unchosen id for determinism.
-        chosen = 0;
-        while (std::find(result.medoids.begin(), result.medoids.end(),
-                         chosen) != result.medoids.end()) {
-          ++chosen;
-        }
-      } else {
-        int64_t target = static_cast<int64_t>(rng.UniformReal() *
-                                              static_cast<double>(total));
-        chosen = db.size() - 1;
-        for (int t = 0; t < db.size(); ++t) {
-          target -= nearest[static_cast<size_t>(t)];
-          if (target < 0) {
-            chosen = t;
-            break;
-          }
-        }
-      }
-      result.medoids.push_back(chosen);
+      nearest[static_cast<size_t>(t)] = CheckedMul<int64_t>(best, best);
+      total = CheckedAdd(total, nearest[static_cast<size_t>(t)]);
     }
+    int chosen;
+    if (total == 0) {
+      // All trees coincide with a medoid; fall back to the first unchosen
+      // id for determinism.
+      chosen = 0;
+      while (std::find(result.medoids.begin(), result.medoids.end(),
+                       chosen) != result.medoids.end()) {
+        ++chosen;
+      }
+    } else {
+      int64_t target = static_cast<int64_t>(rng.UniformReal() *
+                                            static_cast<double>(total));
+      chosen = db.size() - 1;
+      for (int t = 0; t < db.size(); ++t) {
+        target -= nearest[static_cast<size_t>(t)];
+        if (target < 0) {
+          chosen = t;
+          break;
+        }
+      }
+    }
+    result.medoids.push_back(chosen);
   }
   result.assignment.assign(static_cast<size_t>(db.size()), 0);
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     ++result.iterations;
     // Assignment step: nearest medoid per tree, pruning medoids whose lower
     // bound cannot beat the best distance found so far.

@@ -27,33 +27,23 @@ struct ClusteringResult {
 
 /// Options for KMedoids.
 struct KMedoidsOptions {
-  enum class Initialization {
-    /// k distinct uniform random medoids.
-    kRandom,
-    /// k-means++-style seeding: each next medoid is drawn with probability
-    /// proportional to the squared distance to the nearest chosen one.
-    /// Much more robust against merged clusters; the default.
-    kPlusPlus,
-  };
-
   int k = 3;
-  int max_iterations = 20;
-  Initialization initialization = Initialization::kPlusPlus;
-  /// Use binary branch optimistic bounds to skip exact distances whose
-  /// lower bound already exceeds the best assignment so far (the clustering
-  /// application from the paper's introduction). Results are identical with
-  /// or without; only edit_distance_calls/pruned_by_filter change.
+  /// Use binary branch (q = 2) optimistic bounds to skip exact distances
+  /// whose lower bound already exceeds the best assignment so far (the
+  /// clustering application from the paper's introduction). Results are
+  /// identical with or without; only edit_distance_calls/pruned_by_filter
+  /// change.
   bool use_filter = true;
-  /// Branch level for the filter.
-  int q = 2;
 };
 
 /// Clusters the database with the k-medoids (PAM/Lloyd hybrid) scheme:
-/// random initial medoids, alternate (a) assign every tree to its nearest
-/// medoid and (b) re-center each cluster on the member minimizing the total
-/// in-cluster distance, until assignments stabilize or max_iterations.
-/// Deterministic given `rng`. O(iterations * (k * N + sum |C|^2)) exact
-/// distance computations before filter pruning.
+/// k-means++-style seeding (each next medoid is drawn with probability
+/// proportional to the squared distance to the nearest chosen one), then
+/// alternate (a) assign every tree to its nearest medoid and (b) re-center
+/// each cluster on the member minimizing the total in-cluster distance,
+/// until assignments stabilize or 20 iterations have run. Deterministic
+/// given `rng`. O(iterations * (k * N + sum |C|^2)) exact distance
+/// computations before filter pruning.
 ClusteringResult KMedoids(const TreeDatabase& db, const KMedoidsOptions& options,
                           Rng& rng);
 

@@ -79,11 +79,8 @@ LatencyWindow::LatencyWindow(int capacity)
   TREESIM_CHECK(capacity_ > 0) << "latency window capacity must be positive";
   samples_ = std::make_unique<std::atomic<int64_t>[]>(
       static_cast<size_t>(capacity_));
-  sample_ids_ = std::make_unique<std::atomic<int64_t>[]>(
-      static_cast<size_t>(capacity_));
   for (int i = 0; i < capacity_; ++i) {
     samples_[static_cast<size_t>(i)].store(0);
-    sample_ids_[static_cast<size_t>(i)].store(0);
   }
 }
 
@@ -92,8 +89,6 @@ void LatencyWindow::Record(int64_t sample) {
       head_.fetch_add(1, std::memory_order_relaxed) % capacity_;
   samples_[static_cast<size_t>(slot)].store(sample,
                                             std::memory_order_relaxed);
-  sample_ids_[static_cast<size_t>(slot)].store(
-      CurrentQueryContext().query_id, std::memory_order_relaxed);
 }
 
 std::vector<int64_t> LatencyWindow::RetainedSamples() const {
@@ -111,7 +106,6 @@ std::vector<int64_t> LatencyWindow::RetainedSamples() const {
 void LatencyWindow::ResetForTest() {
   for (int i = 0; i < capacity_; ++i) {
     samples_[static_cast<size_t>(i)].store(0, std::memory_order_relaxed);
-    sample_ids_[static_cast<size_t>(i)].store(0, std::memory_order_relaxed);
   }
   head_.store(0, std::memory_order_relaxed);
 }

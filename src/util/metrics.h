@@ -140,14 +140,13 @@ class Histogram {
 /// aggregated at snapshot time into rolling p50/p95/p99 gauges (rendered
 /// as `<name>.p50` etc. in every export format) — the live signals a
 /// scrape sees, as opposed to the since-process-start histograms. Record
-/// is two relaxed stores plus one relaxed fetch_add; the snapshot-side
+/// is one relaxed store plus one relaxed fetch_add; the snapshot-side
 /// sort touches at most `capacity` values.
 class LatencyWindow {
  public:
   explicit LatencyWindow(int capacity);
 
-  /// Records one sample, tagging it with the calling thread's current
-  /// query id (0 when none).
+  /// Records one sample, overwriting the oldest once the window is full.
   void Record(int64_t sample);
 
   int capacity() const { return capacity_; }
@@ -156,7 +155,7 @@ class LatencyWindow {
   }
 
   /// Copies the currently retained samples (unordered). Monitoring-grade
-  /// consistency: concurrent writers may tear sample/slot pairing.
+  /// consistency: a concurrent writer's sample may or may not be seen.
   std::vector<int64_t> RetainedSamples() const;
 
  private:
@@ -164,7 +163,6 @@ class LatencyWindow {
   void ResetForTest();
   int capacity_;
   std::unique_ptr<std::atomic<int64_t>[]> samples_;
-  std::unique_ptr<std::atomic<int64_t>[]> sample_ids_;
   std::atomic<int64_t> head_{0};
 };
 

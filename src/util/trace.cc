@@ -4,9 +4,11 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 #include <memory>
-#include <sstream>
 
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/query_context.h"
 #include "util/sync.h"
@@ -16,6 +18,16 @@ namespace treesim {
 #if TREESIM_METRICS_ENABLED
 
 namespace {
+
+/// `ns` (>= 0) in microseconds as an exact decimal: the integer part, a
+/// dot, then three zero-padded digits, so short spans stay visible and no
+/// nanosecond is rounded away.
+std::string ExactMicros(int64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%" PRId64 ".%03" PRId64, ns / 1000,
+                ns % 1000);
+  return buf;
+}
 
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -170,26 +182,27 @@ int64_t Tracer::dropped_events() const {
 }
 
 std::string Tracer::ExportChromeTracing() const {
-  const std::vector<TraceEvent> events = Collect();
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const TraceEvent& e : events) {
-    if (!first) os << ',';
-    first = false;
-    // Complete ("X") events; chrome://tracing wants microseconds. Nanosecond
-    // remainders are kept as fractions so short spans stay visible.
-    os << "{\"name\":\"" << e.name << "\",\"ph\":\"X\",\"pid\":0,\"tid\":"
-       << e.thread_index << ",\"ts\":" << (e.start_ns / 1000) << '.'
-       << (e.start_ns % 1000) << ",\"dur\":" << (e.duration_ns / 1000) << '.'
-       << (e.duration_ns % 1000);
+  std::string events = "[";
+  for (const TraceEvent& e : Collect()) {
+    if (events.size() > 1) events += ',';
+    // Complete ("X") events; chrome://tracing wants microseconds.
+    JsonObject event;
+    event.Str("name", e.name)
+        .Str("ph", "X")
+        .Int("pid", 0)
+        .Int("tid", e.thread_index)
+        .Raw("ts", ExactMicros(e.start_ns))
+        .Raw("dur", ExactMicros(e.duration_ns));
     if (e.query_id != 0) {
-      os << ",\"args\":{\"query_id\":" << e.query_id << '}';
+      event.Raw("args", JsonObject().Int("query_id", e.query_id).Render());
     }
-    os << '}';
+    events += event.Render();
   }
-  os << "]}";
-  return os.str();
+  events += ']';
+  return JsonObject()
+      .Str("displayTimeUnit", "ms")
+      .Raw("traceEvents", events)
+      .Render();
 }
 
 // Deliberately lock- and allocation-free: reads the guarded ring/written

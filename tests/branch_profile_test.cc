@@ -28,10 +28,8 @@ TEST(BranchProfileTest, EntriesSortedWithPositions) {
     EXPECT_LT(p.entries[i - 1].branch, p.entries[i].branch);
   }
   for (const BranchEntry& e : p.entries) {
-    ASSERT_EQ(e.posts_sorted.size(), e.occurrences.size());
     for (size_t i = 1; i < e.occurrences.size(); ++i) {
       EXPECT_LT(e.occurrences[i - 1].first, e.occurrences[i].first);
-      EXPECT_LE(e.posts_sorted[i - 1], e.posts_sorted[i]);
     }
   }
 }
@@ -67,8 +65,8 @@ TEST(BranchProfileTest, QueryProfileKeepsEveryBoundAndTheDictionary) {
       EXPECT_TRUE(looked_up.ValidateInvariants().ok());
       for (const BranchProfile& p : data) {
         EXPECT_EQ(BranchDistance(looked_up, p), BranchDistance(interned, p));
-        EXPECT_EQ(OptimisticBound(looked_up, p, MatchingMode::kAuto),
-                  OptimisticBound(interned, p, MatchingMode::kAuto));
+        EXPECT_EQ(OptimisticBound(looked_up, p),
+                  OptimisticBound(interned, p));
       }
     }
     EXPECT_EQ(frozen.size(), built) << "q=" << q;

@@ -24,7 +24,6 @@ enum class FilterKind {
   kBiBranchPositionalQ2,
   kBiBranchPositionalQ3,
   kBiBranchPlainQ2,
-  kBiBranchGreedyQ2,
   kHistogram,
   kHistogramFolded,
   kSequenceEditDistance,
@@ -45,11 +44,6 @@ std::unique_ptr<FilterIndex> MakeFilter(FilterKind kind) {
     case FilterKind::kBiBranchPlainQ2: {
       BiBranchFilter::Options o;
       o.positional = false;
-      return std::make_unique<BiBranchFilter>(o);
-    }
-    case FilterKind::kBiBranchGreedyQ2: {
-      BiBranchFilter::Options o;
-      o.matching = MatchingMode::kGreedy;
       return std::make_unique<BiBranchFilter>(o);
     }
     case FilterKind::kHistogram:
@@ -79,8 +73,6 @@ std::string KindName(FilterKind kind) {
       return "BiBranchQ3";
     case FilterKind::kBiBranchPlainQ2:
       return "BiBranchPlain";
-    case FilterKind::kBiBranchGreedyQ2:
-      return "BiBranchGreedy";
     case FilterKind::kHistogram:
       return "Histo";
     case FilterKind::kHistogramFolded:
@@ -168,8 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllFilters, FilterSoundnessTest,
     ::testing::Values(FilterKind::kBiBranchPositionalQ2,
                       FilterKind::kBiBranchPositionalQ3,
-                      FilterKind::kBiBranchPlainQ2,
-                      FilterKind::kBiBranchGreedyQ2, FilterKind::kHistogram,
+                      FilterKind::kBiBranchPlainQ2, FilterKind::kHistogram,
                       FilterKind::kHistogramFolded,
                       FilterKind::kSequenceEditDistance,
                       FilterKind::kSequenceQGram),

@@ -103,8 +103,6 @@ TEST(InvertedFileTest, ProfilesMatchDirectExtraction) {
           EXPECT_EQ(profiles[i].entries[e].branch, direct.entries[e].branch);
           EXPECT_EQ(profiles[i].entries[e].occurrences,
                     direct.entries[e].occurrences);
-          EXPECT_EQ(profiles[i].entries[e].posts_sorted,
-                    direct.entries[e].posts_sorted);
         }
       }
     }

@@ -67,13 +67,13 @@ TEST_F(MetamorphicTest, IdentityAndSymmetryOfBranchDistances) {
     const BranchProfile p2 = BranchProfile::FromTree(t2, dict);
     // BDist(T, T) == 0 and PosBDist(T, T, pr) == 0 for every pr.
     EXPECT_EQ(BranchDistance(p1, p1), 0);
-    EXPECT_EQ(PositionalBranchDistance(p1, p1, 0, MatchingMode::kExact), 0);
-    EXPECT_EQ(PositionalBranchDistance(p1, p1, 2, MatchingMode::kGreedy), 0);
+    EXPECT_EQ(PositionalBranchDistance(p1, p1, 0), 0);
+    EXPECT_EQ(PositionalBranchDistance(p1, p1, 2), 0);
     // L1 distance and matchings are symmetric in the two profiles.
     EXPECT_EQ(BranchDistance(p1, p2), BranchDistance(p2, p1));
     for (const int pr : {0, 1, 3}) {
-      EXPECT_EQ(PositionalBranchDistance(p1, p2, pr, MatchingMode::kExact),
-                PositionalBranchDistance(p2, p1, pr, MatchingMode::kExact));
+      EXPECT_EQ(PositionalBranchDistance(p1, p2, pr),
+                PositionalBranchDistance(p2, p1, pr));
     }
     EXPECT_EQ(OptimisticBound(p1, p2), OptimisticBound(p2, p1));
   }
@@ -133,8 +133,7 @@ TEST_F(MetamorphicTest, PositionalDistanceIsMonotoneInRadius) {
     const int pr_max = std::max(t1.size(), t2.size());
     int64_t previous = -1;
     for (int pr = 0; pr <= pr_max; ++pr) {
-      const int64_t d =
-          PositionalBranchDistance(p1, p2, pr, MatchingMode::kExact);
+      const int64_t d = PositionalBranchDistance(p1, p2, pr);
       if (previous >= 0) {
         EXPECT_LE(d, previous) << "PosBDist increased at pr=" << pr;
       }
@@ -143,23 +142,6 @@ TEST_F(MetamorphicTest, PositionalDistanceIsMonotoneInRadius) {
     // Definition 6: with the positional constraint relaxed past every
     // position difference, PosBDist degenerates to plain BDist.
     EXPECT_EQ(previous, BranchDistance(p1, p2));
-  }
-}
-
-TEST_F(MetamorphicTest, GreedyMatchingNeverTightensExact) {
-  // kGreedy computes a matching at least as large as kExact, so its
-  // PosBDist is never larger — the sound direction for a lower bound.
-  BranchDictionary dict(2);
-  for (int i = 0; i < kPairs; ++i) {
-    const Tree t1 = Draw();
-    const Tree t2 = Draw();
-    const BranchProfile p1 = BranchProfile::FromTree(t1, dict);
-    const BranchProfile p2 = BranchProfile::FromTree(t2, dict);
-    for (const int pr : {0, 1, 2, 4}) {
-      EXPECT_LE(PositionalBranchDistance(p1, p2, pr, MatchingMode::kGreedy),
-                PositionalBranchDistance(p1, p2, pr, MatchingMode::kExact))
-          << "pr=" << pr;
-    }
   }
 }
 
@@ -173,13 +155,10 @@ TEST_F(MetamorphicTest, OptimisticBoundIsSoundAndDominates) {
     const BranchProfile p1 = BranchProfile::FromTree(t1, dict);
     const BranchProfile p2 = BranchProfile::FromTree(t2, dict);
     const int exact = TreeEditDistance(t1, t2);
-    for (const MatchingMode mode :
-         {MatchingMode::kExact, MatchingMode::kGreedy, MatchingMode::kAuto}) {
-      const int propt = OptimisticBound(p1, p2, mode);
-      EXPECT_LE(propt, exact);
-      EXPECT_GE(propt, BranchDistanceLowerBound(p1, p2));
-      EXPECT_GE(propt, std::abs(t1.size() - t2.size()));
-    }
+    const int propt = OptimisticBound(p1, p2);
+    EXPECT_LE(propt, exact);
+    EXPECT_GE(propt, BranchDistanceLowerBound(p1, p2));
+    EXPECT_GE(propt, std::abs(t1.size() - t2.size()));
   }
 }
 
@@ -194,17 +173,15 @@ TEST_F(MetamorphicTest, RangeFilterNeverPrunesTrueResults) {
     const BranchProfile p2 = BranchProfile::FromTree(t2, dict);
     const int exact = TreeEditDistance(t1, t2);
     for (const int tau : {exact, exact + 1, exact + 5}) {
-      EXPECT_TRUE(RangeFilterPasses(p1, p2, tau, MatchingMode::kExact))
-          << "EDist=" << exact << " tau=" << tau;
-      EXPECT_TRUE(RangeFilterPasses(p1, p2, tau, MatchingMode::kGreedy))
+      EXPECT_TRUE(RangeFilterPasses(p1, p2, tau))
           << "EDist=" << exact << " tau=" << tau;
     }
     // Consistency with the binary search: propt <= tau iff the single
     // evaluation passes.
-    const int propt = OptimisticBound(p1, p2, MatchingMode::kGreedy);
-    EXPECT_TRUE(RangeFilterPasses(p1, p2, propt, MatchingMode::kGreedy));
+    const int propt = OptimisticBound(p1, p2);
+    EXPECT_TRUE(RangeFilterPasses(p1, p2, propt));
     if (propt > 0) {
-      EXPECT_FALSE(RangeFilterPasses(p1, p2, propt - 1, MatchingMode::kGreedy))
+      EXPECT_FALSE(RangeFilterPasses(p1, p2, propt - 1))
           << "propt=" << propt;
     }
   }

@@ -74,7 +74,7 @@ TEST_F(PaperExampleTest, PositionalBoundIsTighterHere) {
   BranchDictionary branches(2);
   const BranchProfile p1 = BranchProfile::FromTree(t1_, branches);
   const BranchProfile p2 = BranchProfile::FromTree(t2_, branches);
-  const int propt = OptimisticBound(p1, p2, MatchingMode::kExact);
+  const int propt = OptimisticBound(p1, p2);
   EXPECT_GE(propt, BranchDistanceLowerBound(p1, p2));
   EXPECT_LE(propt, TreeEditDistance(t1_, t2_));
 }
@@ -126,8 +126,7 @@ TEST_F(PaperExampleTest, HistogramFilterIsWeakerOnThisPair) {
                                       histo.ExtractFeatures(t2_));
   BranchDictionary branches(2);
   const int bb = OptimisticBound(BranchProfile::FromTree(t1_, branches),
-                                 BranchProfile::FromTree(t2_, branches),
-                                 MatchingMode::kExact);
+                                 BranchProfile::FromTree(t2_, branches));
   EXPECT_LE(histo_bound, bb);
   EXPECT_LE(histo_bound, TreeEditDistance(t1_, t2_));
 }

@@ -91,7 +91,6 @@ TEST(ParallelDeterminismTest, FilterBuildWithPoolIdentical) {
     for (size_t e = 0; e < sp.entries.size(); ++e) {
       EXPECT_EQ(pp.entries[e].branch, sp.entries[e].branch) << "tree " << i;
       EXPECT_EQ(pp.entries[e].occurrences, sp.entries[e].occurrences);
-      EXPECT_EQ(pp.entries[e].posts_sorted, sp.entries[e].posts_sorted);
     }
   }
 }

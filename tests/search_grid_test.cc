@@ -26,7 +26,6 @@ enum class EngineKind {
   kBiBranch,
   kBiBranchPlain,
   kBiBranchQ3,
-  kBiBranchGreedy,
   kHisto,
   kHistoFolded,
   kSeqQGram,
@@ -54,8 +53,6 @@ std::string EngineName(EngineKind kind) {
       return "BiBranchPlain";
     case EngineKind::kBiBranchQ3:
       return "BiBranchQ3";
-    case EngineKind::kBiBranchGreedy:
-      return "BiBranchGreedy";
     case EngineKind::kHisto:
       return "Histo";
     case EngineKind::kHistoFolded:
@@ -121,11 +118,6 @@ std::unique_ptr<FilterIndex> MakeEngineFilter(EngineKind kind) {
       o.q = 3;
       return std::make_unique<BiBranchFilter>(o);
     }
-    case EngineKind::kBiBranchGreedy: {
-      BiBranchFilter::Options o;
-      o.matching = MatchingMode::kGreedy;
-      return std::make_unique<BiBranchFilter>(o);
-    }
     case EngineKind::kHisto:
       return std::make_unique<HistogramFilter>();
     case EngineKind::kHistoFolded: {
@@ -181,8 +173,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(DataKind::kRandom, DataKind::kClustered,
                           DataKind::kDblp, DataKind::kDeep),
         ::testing::Values(EngineKind::kBiBranch, EngineKind::kBiBranchPlain,
-                          EngineKind::kBiBranchQ3,
-                          EngineKind::kBiBranchGreedy, EngineKind::kHisto,
+                          EngineKind::kBiBranchQ3, EngineKind::kHisto,
                           EngineKind::kHistoFolded, EngineKind::kSeqQGram)),
     [](const ::testing::TestParamInfo<GridParam>& info) {
       return DataName(std::get<0>(info.param)) +

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "json_validator.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -163,6 +164,47 @@ TEST(TraceTest, ExportChromeTracingIsWellFormed) {
   } else {
     EXPECT_EQ(json.find("\"ph\""), std::string::npos);
   }
+  Tracer::Global().Clear();
+}
+
+TEST(TraceTest, ExportWritesExactMicrosecondsAndEscapedNames) {
+  // Every ts/dur is start_ns/duration_ns over 1000 exactly (three
+  // zero-padded fraction digits: 207,026 ns is 207.026, not 207.26), and a
+  // span name with a quote and a backslash still parses back to itself.
+  if (!kMetricsEnabled) GTEST_SKIP() << "TREESIM_METRICS=OFF";
+  ResetTracer(/*enable=*/true);
+  for (int i = 0; i < 60; ++i) {
+    TREESIM_TRACE_SPAN("test.trace.exact");
+    if (i % 10 == 0) {
+      TREESIM_TRACE_SPAN("test.trace.\"quoted\"\\name");
+    }
+  }
+  Tracer::Global().Disable();
+  const std::vector<TraceEvent> events = Tracer::Global().Collect();
+  ASSERT_GE(events.size(), 50u);
+  test::JsonValue doc;
+  ASSERT_TRUE(
+      test::JsonParser(Tracer::Global().ExportChromeTracing()).Parse(&doc));
+  const test::JsonValue* exported = doc.Find("traceEvents");
+  ASSERT_NE(exported, nullptr);
+  ASSERT_TRUE(exported->is_array());
+  ASSERT_EQ(exported->array.size(), events.size());
+  int odd_names = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const test::JsonValue& e = exported->array[i];
+    ASSERT_TRUE(e.Has("name") && e.Has("ts") && e.Has("dur")) << i;
+    EXPECT_EQ(e.Find("name")->string_value, events[i].name) << i;
+    EXPECT_EQ(e.Find("ts")->number_value,
+              static_cast<double>(events[i].start_ns) / 1000.0)
+        << "event " << i << " start_ns " << events[i].start_ns;
+    EXPECT_EQ(e.Find("dur")->number_value,
+              static_cast<double>(events[i].duration_ns) / 1000.0)
+        << "event " << i << " duration_ns " << events[i].duration_ns;
+    if (e.Find("name")->string_value == "test.trace.\"quoted\"\\name") {
+      ++odd_names;
+    }
+  }
+  EXPECT_EQ(odd_names, 6);
   Tracer::Global().Clear();
 }
 

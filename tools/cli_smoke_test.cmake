@@ -94,6 +94,15 @@ run_cli_rejects(range --data=${data} ${query} --threads=4)
 run_cli_rejects(knn --data=${data} ${query} --threads=2)
 run_cli_rejects(import --xml=${xml} --out=${TMP}/never.trees
                 --structure-only=ture)
+# Flag values and bare tokens are checked before the command runs: a bad
+# --metrics mode must not wait until the answer is printed, a bad --filter
+# must not skip the sinks, and a flag typed without its dashes must not run
+# the command at its defaults.
+run_cli_rejects(range --data=${data} ${query} --metrics=bogus)
+run_cli_rejects(knn --data=${data} ${query} --filter=bogus)
+run_cli_rejects(join --data=${data} --filter=bogus)
+run_cli_rejects(stats --data=${data} stray)
+run_cli_rejects(range --data=${data} ${query} tau=5)
 run_cli("imported 2 records" import --xml=${xml} --out=${TMP}/bare.trees
         --structure-only)
 

@@ -51,7 +51,6 @@ SUITE = [
     ("fig14_dblp_range", ["--trees=300", "--queries=5"], []),
     ("fig15_distance_distribution", ["--trees=300", "--queries=10"], []),
     ("ablation_filters", ["--trees=200", "--queries=3"], []),
-    ("ablation_matching", ["--trees=150", "--queries=3"], []),
     ("ablation_histogram_budget", ["--trees=200", "--queries=4"], []),
     ("parallel_speedup", ["--trees=120", "--queries=8"], []),
     ("micro_core",

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/binary_tree.h"
 #include "core/branch_profile.h"
 #include "core/positional.h"
 #include "datagen/dblp_generator.h"
@@ -120,14 +119,17 @@ int PrintVersion() {
   return 0;
 }
 
-std::unique_ptr<FilterIndex> MakeFilter(const std::string& name) {
-  if (name == "bibranch") return std::make_unique<BiBranchFilter>();
-  if (name == "histo") return std::make_unique<HistogramFilter>();
-  if (name == "seq") return std::make_unique<SequenceFilter>();
-  if (name == "none") return nullptr;
-  std::fprintf(stderr, "unknown filter '%s' (want bibranch|histo|seq|none)\n",
-               name.c_str());
-  std::exit(2);
+/// The filter `--filter` names (bibranch by default); none is no filter.
+/// Main checks the name (CheckArguments) before any command runs, so the
+/// commands take the value directly.
+StatusOr<std::unique_ptr<FilterIndex>> MakeFilter(const FlagParser& flags) {
+  const std::string name = flags.GetString("filter", "bibranch");
+  if (name == "bibranch") return {std::make_unique<BiBranchFilter>()};
+  if (name == "histo") return {std::make_unique<HistogramFilter>()};
+  if (name == "seq") return {std::make_unique<SequenceFilter>()};
+  if (name == "none") return {std::unique_ptr<FilterIndex>()};
+  return Status::InvalidArgument("unknown --filter '" + name +
+                                 "' (want bibranch|histo|seq|none)");
 }
 
 StatusOr<std::unique_ptr<TreeDatabase>> LoadDatabase(
@@ -403,8 +405,7 @@ int CmdRange(const FlagParser& flags) {
   if (!tau_or.ok()) return Fail(tau_or.status());
   const int tau = *tau_or;
 
-  SimilaritySearch engine(db_or->get(),
-                          MakeFilter(flags.GetString("filter", "bibranch")));
+  SimilaritySearch engine(db_or->get(), MakeFilter(flags).value());
   const RangeResult r = engine.Range(*query_or, tau);
   std::printf("%zu matches within distance %d (%s refined %lld/%lld, "
               "%.1f ms filter + %.1f ms refine)\n",
@@ -428,8 +429,7 @@ int CmdKnn(const FlagParser& flags) {
   const StatusOr<int> k = IntFlag(flags, "k", 5, 1, kIntMax);
   if (!k.ok()) return Fail(k.status());
 
-  SimilaritySearch engine(db_or->get(),
-                          MakeFilter(flags.GetString("filter", "bibranch")));
+  SimilaritySearch engine(db_or->get(), MakeFilter(flags).value());
   const KnnResult r = engine.Knn(*query_or, *k);
   std::printf("%d nearest neighbors (%s refined %lld/%lld)\n",
               static_cast<int>(r.neighbors.size()),
@@ -452,8 +452,7 @@ int CmdJoin(const FlagParser& flags) {
   const int tau = *tau_or;
   const auto pool = MakePool(flags, (*db_or)->size());
   if (!pool.ok()) return Fail(pool.status());
-  SimilarityJoin join(db_or->get(),
-                      MakeFilter(flags.GetString("filter", "bibranch")));
+  SimilarityJoin join(db_or->get(), MakeFilter(flags).value());
   const JoinResult r = join.SelfJoin(tau, pool->get());
   std::printf("%zu pairs within distance %d (refined %lld of %lld pairs)\n",
               r.pairs.size(), tau,
@@ -565,12 +564,32 @@ const Command* FindCommand(const std::string& name) {
   return nullptr;
 }
 
+/// Refuses what no command may be given, before any command runs: a bare
+/// token (a flag typed without its dashes would otherwise be ignored), an
+/// unknown --metrics mode (otherwise noticed only after the run) and an
+/// unknown --filter.
+Status CheckArguments(const std::string& command, const FlagParser& flags) {
+  if (!flags.positional().empty()) {
+    return Status::InvalidArgument(command + " takes no bare argument '" +
+                                   flags.positional().front() + "'");
+  }
+  const std::string metrics = flags.GetString("metrics", "");
+  if (!metrics.empty() && metrics != "text" && metrics != "json" &&
+      metrics != "prometheus") {
+    return Status::InvalidArgument("unknown --metrics mode '" + metrics +
+                                   "' (want text|json|prometheus)");
+  }
+  if (flags.Has("filter")) return MakeFilter(flags).status();
+  return Status::Ok();
+}
+
 /// Dumps the registry after the command so the numbers cover everything the
 /// run did (index build included). All three modes render to one string and
 /// share one sink: stdout by default, or `--metrics-out=FILE`. JSON goes out
 /// as one line, parseable by scripts; text gets a separator so it reads
-/// apart from command output; prometheus is text exposition format 0.0.4,
-/// ready for a node_exporter textfile collector.
+/// apart from command output; prometheus (the remaining mode
+/// CheckArguments admits) is text exposition format 0.0.4, ready for a
+/// node_exporter textfile collector.
 int DumpMetrics(const std::string& mode, const std::string& out_path) {
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   std::string rendered;
@@ -578,13 +597,8 @@ int DumpMetrics(const std::string& mode, const std::string& out_path) {
     rendered = snap.ToJson() + "\n";
   } else if (mode == "text") {
     rendered = "== metrics ==\n" + snap.ToText();
-  } else if (mode == "prometheus") {
-    rendered = snap.ToPrometheus();
   } else {
-    std::fprintf(stderr,
-                 "unknown --metrics mode '%s' (want text|json|prometheus)\n",
-                 mode.c_str());
-    return 2;
+    rendered = snap.ToPrometheus();
   }
   if (out_path.empty()) {
     std::fwrite(rendered.data(), 1, rendered.size(), stdout);
@@ -701,6 +715,8 @@ int Main(int argc, char** argv) {
     return Fail(Status::InvalidArgument(command + " does not take --" +
                                         unknown.front()));
   }
+  const Status arguments = CheckArguments(command, flags);
+  if (!arguments.ok()) return Fail(arguments);
   // Crash triage is always armed: it costs nothing until a fatal signal or
   // TREESIM_CHECK failure, and then preserves the telemetry of the run.
   InstallCrashHandler();
