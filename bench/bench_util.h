@@ -254,19 +254,18 @@ inline void PrintStageBreakdown(const MetricsSnapshot& d) {
     return h == nullptr ? 0.0 : h->Mean();
   };
   std::printf(
-      "    stages: ted_calls=%lld propt_calls=%lld propt_mean=%.1f "
+      "    stages: ted_calls=%lld propt_calls=%lld "
       "knn(filter=%.0fus refine=%.0fus gap=%.1f) "
       "range(filter=%.0fus refine=%.0fus) saturations=%lld\n",
       static_cast<long long>(d.counter("ted.zhang_shasha_calls")),
       static_cast<long long>(d.counter("positional.searchlbound_calls")),
-      mean("positional.propt"), mean("search.knn.filter_micros"),
-      mean("search.knn.refine_micros"), mean("search.knn.bound_gap"),
-      mean("search.range.filter_micros"), mean("search.range.refine_micros"),
+      mean("search.knn.filter_micros"), mean("search.knn.refine_micros"),
+      mean("search.knn.bound_gap"), mean("search.range.filter_micros"),
+      mean("search.range.refine_micros"),
       static_cast<long long>(d.counter("safe_math.saturations")));
   // Bounded-verifier telemetry: how much DP work the threshold pruned.
   // bounded_calls counts refine invocations; cells pruned/computed split
-  // the forest-matrix work; mirrored counts the RTED-style orientation
-  // flips.
+  // the forest-matrix work.
   const long long bounded_calls = d.counter("ted.bounded_calls") +
                                   d.counter("ted.bounded_weighted_calls");
   if (bounded_calls > 0) {
@@ -275,10 +274,8 @@ inline void PrintStageBreakdown(const MetricsSnapshot& d) {
     const double pruned =
         static_cast<double>(d.counter("ted.bounded_cells_band_pruned"));
     const double total = computed + pruned;
-    std::printf(
-        "    bounded: calls=%lld cells_pruned=%.1f%% mirrored=%lld\n",
-        bounded_calls, total > 0.0 ? 100.0 * pruned / total : 0.0,
-        static_cast<long long>(d.counter("ted.bounded_mirror_strategy")));
+    std::printf("    bounded: calls=%lld cells_pruned=%.1f%%\n",
+                bounded_calls, total > 0.0 ? 100.0 * pruned / total : 0.0);
   }
 }
 

@@ -153,11 +153,7 @@ int OptimisticBound(const BranchProfile& a, const BranchProfile& b) {
   // pr_max it always holds (every equal-branch pair is within position
   // range, so PosBDist = BDist <= |T1|+|T2| <= factor * pr_max).
   TREESIM_COUNTER_INC("positional.searchlbound_calls");
-  if (bounded(pr_min)) {
-    TREESIM_HISTOGRAM_RECORD("positional.propt", SmallValueBuckets(),
-                             static_cast<int64_t>(pr_min));
-    return pr_min;
-  }
+  if (bounded(pr_min)) return pr_min;
   int lo = pr_min + 1;
   int hi = pr_max;
   while (lo < hi) {
@@ -168,8 +164,6 @@ int OptimisticBound(const BranchProfile& a, const BranchProfile& b) {
       lo = mid + 1;
     }
   }
-  TREESIM_HISTOGRAM_RECORD("positional.propt", SmallValueBuckets(),
-                           static_cast<int64_t>(lo));
   return lo;
 }
 

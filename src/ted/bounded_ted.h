@@ -23,17 +23,16 @@ namespace treesim {
 /// can therefore keep their existing `d <= tau` / heap-insert logic and
 /// get byte-identical results to the unbounded path.
 ///
-/// Internally: the Zhang–Shasha recurrence of ted/zhang_shasha.cc over the
-/// |x - y| <= tau diagonal band of every keyroot-pair forest matrix (an
-/// out-of-band forest pair needs more than tau unmatched nodes), with an
-/// RTED-style choice between the leftmost and the mirrored (rightmost)
-/// decomposition, whichever has the smaller keyroot-weight product. The
-/// band only sets each row's column range: tau + 1 fills one sentinel cell
-/// on each side of it, only the subtree jump read tests it, and the result
-/// is clamped once. Every in-band cell is computed (DESIGN.md §16). When
-/// the band would exclude less than half of the root forest matrix (wide
-/// tau on small trees) the call runs the full-width recurrence and clamps
-/// instead — the contract above is unchanged.
+/// Internally: the Zhang–Shasha recurrence of ted/zhang_shasha.cc, in its
+/// one leftmost-path decomposition, over the |x - y| <= tau diagonal band
+/// of every keyroot-pair forest matrix (an out-of-band forest pair needs
+/// more than tau unmatched nodes). The band only sets each row's column
+/// range: tau + 1 fills one sentinel cell on each side of it, only the
+/// subtree jump read tests it, and the result is clamped once. Every
+/// in-band cell is computed (DESIGN.md §16). When the band would exclude
+/// less than half of the root forest matrix (wide tau on small trees) the
+/// call runs the full-width recurrence and clamps instead — the contract
+/// above is unchanged.
 ///
 /// A banded call adds the forest-matrix cells it computed to `*cells`, when
 /// given, as it does to the process-wide ted.bounded_cells_computed; early
@@ -41,7 +40,7 @@ namespace treesim {
 int BoundedTreeEditDistance(const TedTree& t1, const TedTree& t2, int tau,
                             int64_t* cells = nullptr);
 
-/// Convenience overload; builds both views (including mirrors) internally.
+/// Convenience overload; builds both views internally.
 int BoundedTreeEditDistance(const Tree& t1, const Tree& t2, int tau);
 
 /// Threshold-bounded distance under an arbitrary cost model. Same contract

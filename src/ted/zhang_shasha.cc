@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "ted/bounded_ted.h"
@@ -157,89 +156,6 @@ std::vector<typename Costs::Dist> ZhangShashaImpl(
   return td;
 }
 
-/// One orientation of the postorder view. `mirrored` reads the tree with
-/// child order reversed everywhere: its postorder is the reverse of the
-/// original preorder, its "leftmost leaf" descends through original LAST
-/// children, and its keyroots are the nodes with a right sibling in the
-/// original (plus the root). The mirrored view is a faithful TedTree of the
-/// mirrored tree, so every distance routine runs on it unchanged.
-TedTree BuildOrientation(const Tree& t, bool mirrored) {
-  TedTree out;
-  const int n = t.size();
-  std::vector<NodeId> post;
-  if (mirrored) {
-    // Mirrored postorder == reversed preorder: both orders place a node
-    // after (resp. before) the right-to-left sequence of its subtrees.
-    post = PreorderSequence(t);
-    std::reverse(post.begin(), post.end());
-  } else {
-    post = PostorderSequence(t);
-  }
-  std::vector<int> post_index(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    post_index[static_cast<size_t>(post[static_cast<size_t>(i)])] = i;
-  }
-  out.labels.resize(static_cast<size_t>(n));
-  out.lml.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const NodeId node = post[static_cast<size_t>(i)];
-    out.labels[static_cast<size_t>(i)] = t.label(node);
-    NodeId fc = t.first_child(node);
-    if (mirrored && fc != kInvalidNode) {
-      // The mirrored first child is the original last child.
-      while (t.next_sibling(fc) != kInvalidNode) fc = t.next_sibling(fc);
-    }
-    // Children precede parents in (both) postorders, so lml of the first
-    // child is already final.
-    out.lml[static_cast<size_t>(i)] =
-        (fc == kInvalidNode)
-            ? i
-            : out.lml[static_cast<size_t>(post_index[static_cast<size_t>(fc)])];
-  }
-  size_t keyroot_count = 0;
-  for (int i = 0; i < n; ++i) {
-    const NodeId node = post[static_cast<size_t>(i)];
-    const NodeId parent = t.parent(node);
-    const bool has_left_sibling =
-        mirrored ? t.next_sibling(node) != kInvalidNode
-                 : parent != kInvalidNode && t.first_child(parent) != node;
-    if (parent == kInvalidNode || has_left_sibling) ++keyroot_count;
-  }
-  out.keyroots.reserve(keyroot_count);
-  for (int i = 0; i < n; ++i) {
-    const NodeId node = post[static_cast<size_t>(i)];
-    const NodeId parent = t.parent(node);
-    const bool has_left_sibling =
-        mirrored ? t.next_sibling(node) != kInvalidNode
-                 : parent != kInvalidNode && t.first_child(parent) != node;
-    if (parent == kInvalidNode || has_left_sibling) {
-      out.keyroots.push_back(i);
-      out.keyroot_weight = CheckedAdd<int64_t>(
-          out.keyroot_weight, i - out.lml[static_cast<size_t>(i)] + 1);
-    }
-  }
-  return out;
-}
-
-/// RTED-style strategy choice restricted to {leftmost, rightmost}: pick
-/// the orientation pair with the smaller keyroot-weight product (the DP
-/// cell count the decomposition implies). Mirroring BOTH trees preserves
-/// the edit distance — a mapping is order-valid on the mirrors iff it is
-/// on the originals — so running the kernel on the mirror views is exact.
-/// doubles avoid overflow in the product; the comparison is heuristic.
-void ChooseOrientation(const TedTree*& t1, const TedTree*& t2) {
-  if (t1->mirror == nullptr || t2->mirror == nullptr) return;
-  const double left = static_cast<double>(t1->keyroot_weight) *
-                      static_cast<double>(t2->keyroot_weight);
-  const double right = static_cast<double>(t1->mirror->keyroot_weight) *
-                       static_cast<double>(t2->mirror->keyroot_weight);
-  if (right < left) {
-    t1 = t1->mirror.get();
-    t2 = t2->mirror.get();
-    TREESIM_COUNTER_INC("ted.bounded_mirror_strategy");
-  }
-}
-
 /// Whether a band of half-width `band` excludes at least half the cells of
 /// the (n1+1) x (n2+1) root forest matrix. The banded recurrence pays for
 /// its per-row set-up (range clipping, two sentinel writes, a short row)
@@ -279,16 +195,40 @@ void PublishCells(const TedTree& t1, const TedTree& t2, int64_t computed,
 
 TedTree TedTree::FromTree(const Tree& t) {
   TREESIM_CHECK(!t.empty());
-  TedTree out = BuildOrientation(t, /*mirrored=*/false);
-  out.mirror =
-      std::make_shared<const TedTree>(BuildOrientation(t, /*mirrored=*/true));
+  const int n = t.size();
+  const std::vector<NodeId> post = PostorderSequence(t);
+  std::vector<int> post_index(static_cast<size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    post_index[static_cast<size_t>(post[static_cast<size_t>(i)])] = i;
+  }
+  TedTree out;
+  out.labels.resize(static_cast<size_t>(n));
+  out.lml.resize(static_cast<size_t>(n));
+  // Keyroots: the root and every node with a left sibling, one per leaf
+  // (each internal node with c children adds c - 1 to the root's one).
+  out.keyroots.reserve(static_cast<size_t>(LeafCount(t)));
+  for (int i = 0; i < n; ++i) {
+    const NodeId node = post[static_cast<size_t>(i)];
+    out.labels[static_cast<size_t>(i)] = t.label(node);
+    // Children precede parents in postorder, so lml of the first child is
+    // already final.
+    const NodeId fc = t.first_child(node);
+    out.lml[static_cast<size_t>(i)] =
+        (fc == kInvalidNode)
+            ? i
+            : out.lml[static_cast<size_t>(post_index[static_cast<size_t>(fc)])];
+    const NodeId parent = t.parent(node);
+    if (parent == kInvalidNode || t.first_child(parent) != node) {
+      out.keyroots.push_back(i);
+      out.keyroot_weight = CheckedAdd<int64_t>(
+          out.keyroot_weight, i - out.lml[static_cast<size_t>(i)] + 1);
+    }
+  }
   return out;
 }
 
 int TREESIM_HOT TreeEditDistance(const TedTree& t1, const TedTree& t2) {
   TREESIM_COUNTER_INC("ted.zhang_shasha_calls");
-  TREESIM_HISTOGRAM_RECORD("ted.problem_nodes", CountBuckets(),
-                           static_cast<int64_t>(t1.size()) + t2.size());
   return ZhangShashaImpl<false>(t1, t2, UnitCosts{}).back();
 }
 
@@ -327,16 +267,11 @@ int TREESIM_HOT BoundedTreeEditDistance(const TedTree& t1, const TedTree& t2,
   if (!BandExcludesEnough(n1, n2, tau)) {
     return std::min(TreeEditDistance(t1, t2), tau + 1);
   }
-  TREESIM_HISTOGRAM_RECORD("ted.problem_nodes", CountBuckets(),
-                           static_cast<int64_t>(n1) + n2);
-  const TedTree* a = &t1;
-  const TedTree* b = &t2;
-  ChooseOrientation(a, b);
   int64_t computed = 0;
-  const int d = ZhangShashaImpl<true>(*a, *b, UnitCosts{}, /*band=*/tau,
+  const int d = ZhangShashaImpl<true>(t1, t2, UnitCosts{}, /*band=*/tau,
                                       /*cap=*/tau + 1, &computed)
                     .back();
-  PublishCells(*a, *b, computed, cells);
+  PublishCells(t1, t2, computed, cells);
   // The one clamp: a value above tau is >= tau + 1 by the kernel invariant.
   return std::min(d, tau + 1);
 }
@@ -382,9 +317,6 @@ double TREESIM_HOT BoundedTreeEditDistanceWeighted(const TedTree& t1,
   if (!BandExcludesEnough(n1, n2, band)) {
     return TreeEditDistanceWeighted(t1, t2, costs);
   }
-  // No orientation choice here: the mirrored decomposition sums the same
-  // optimal derivation in a different order, and reordered floating-point
-  // adds would break the bit-identical promise to the unbounded kernel.
   // The exact <= tau values must match TreeEditDistanceWeighted to the ulp
   // so rewired call sites stay byte-identical. Unclamped, a rejected
   // call's value is some value > tau (+infinity or finite).

@@ -2,7 +2,6 @@
 #define TREESIM_TED_ZHANG_SHASHA_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ted/cost_model.h"
@@ -13,6 +12,7 @@ namespace treesim {
 /// Postorder view of a tree precomputed for the Zhang–Shasha dynamic
 /// program [Zhang & Shasha, SIAM J. Comput. 1989] — the reference exact
 /// tree edit distance the paper's filters refine against (reference [23]).
+/// Every distance routine runs the one leftmost-path decomposition over it.
 ///
 /// Precompute once per database tree and reuse across queries: building the
 /// view is O(|T|), while each distance computation is
@@ -26,25 +26,15 @@ struct TedTree {
   /// Keyroots in ascending postorder index: nodes that have a left sibling,
   /// plus the root (the LR_keyroots set of the original algorithm).
   std::vector<int> keyroots;
-  /// Total DP work of the keyroot decomposition in this orientation:
-  /// sum over keyroots k of (k - lml[k] + 1). The bounded verifier
-  /// (ted/bounded_ted.h) compares the product of the two trees' weights
-  /// across the left and right orientations — RTED's strategy choice
-  /// restricted to the {leftmost, rightmost} path set — and runs the
-  /// cheaper one, so deep right spines and left-leaning combs stop
-  /// hitting the fixed-leftmost worst case.
+  /// Total DP work of the keyroot decomposition: sum over keyroots k of
+  /// (k - lml[k] + 1). The product of two trees' weights is the cell count
+  /// of the full-width kernel, from which the bounded verifier derives the
+  /// cells its band pruned.
   int64_t keyroot_weight = 0;
-  /// The mirrored orientation: the same tree with child order reversed
-  /// everywhere, whose edit distance to another mirrored tree equals the
-  /// original distance (mirroring both sides preserves mapping validity).
-  /// Built by FromTree on the primary view; null on the mirror itself.
-  /// shared_ptr keeps TedTree cheap to copy into vectors (TreeDatabase
-  /// stores one view per tree).
-  std::shared_ptr<const TedTree> mirror;
 
   int size() const { return static_cast<int>(labels.size()); }
 
-  /// Builds the view (including its mirror). `t` must be non-empty.
+  /// Builds the view. `t` must be non-empty.
   static TedTree FromTree(const Tree& t);
 };
 

@@ -1,8 +1,9 @@
 // Unit tests for the bounded-TED refine engine (ted/bounded_ted.h): the
 // exactness/clamp contract on random pairs, threshold edge cases, the
-// mirror view built for the RTED-style strategy choice, and — guarded by
+// keyroot structure of the postorder view, and — guarded by
 // TREESIM_METRICS — that the band pruning engages on large problems and
 // prunes exactly the out-of-band cells.
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "ted/cost_model.h"
 #include "ted/zhang_shasha.h"
 #include "test_util.h"
+#include "tree/traversal.h"
 #include "tree/tree.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -50,8 +52,8 @@ Tree Star(int size, const std::vector<LabelId>& pool,
 
 /// A spine whose every node carries one LEADING leaf (the spine child is
 /// the last child): under the leftmost decomposition every spine subtree
-/// is a keyroot, so the original orientation has quadratic keyroot weight
-/// while the mirror's is linear — the shape the strategy choice exists for.
+/// is a keyroot, so the keyroot weight is quadratic in the teeth — the
+/// worst case of that decomposition.
 Tree LeftComb(int teeth, const std::vector<LabelId>& pool,
               const std::shared_ptr<LabelDictionary>& labels) {
   TreeBuilder builder(labels);
@@ -63,6 +65,29 @@ Tree LeftComb(int teeth, const std::vector<LabelId>& pool,
         spine, pool[static_cast<size_t>(i + 2) % pool.size()]);
   }
   return std::move(builder).Build();
+}
+
+/// The sum of subtree sizes over the keyroots of the leftmost decomposition
+/// (the root and every child past the first), read off the tree itself
+/// rather than its postorder view.
+int64_t KeyrootSubtreeSizeSum(const Tree& t) {
+  std::vector<int64_t> sizes(static_cast<size_t>(t.size()), 1);
+  const std::vector<NodeId> pre = PreorderSequence(t);
+  for (auto it = pre.rbegin(); it != pre.rend(); ++it) {
+    const NodeId parent = t.parent(*it);
+    if (parent != kInvalidNode) {
+      sizes[static_cast<size_t>(parent)] += sizes[static_cast<size_t>(*it)];
+    }
+  }
+  int64_t sum = sizes[static_cast<size_t>(t.root())];
+  for (NodeId n = 0; n < t.size(); ++n) {
+    if (t.is_leaf(n)) continue;
+    for (NodeId c = t.next_sibling(t.first_child(n)); c != kInvalidNode;
+         c = t.next_sibling(c)) {
+      sum += sizes[static_cast<size_t>(c)];
+    }
+  }
+  return sum;
 }
 
 /// Indels cost 1.5 and relabels 1 (c_min = 1): the band is as wide as
@@ -131,42 +156,37 @@ TEST(BoundedTedTest, SizeDifferenceRejectsBeforeAnyDpWork) {
   EXPECT_EQ(BoundedTreeEditDistance(small, big, 5), 6);
 }
 
-TEST(BoundedTedTest, MirrorViewStructure) {
+TEST(BoundedTedTest, KeyrootViewStructure) {
   auto labels = std::make_shared<LabelDictionary>();
   const std::vector<LabelId> pool = MakeLabelPool(labels, 3);
-  const Tree comb = LeftComb(8, pool, labels);  // 17 nodes
+  const int teeth = 8;
+  const Tree comb = LeftComb(teeth, pool, labels);  // 17 nodes
   const TedTree view = TedTree::FromTree(comb);
-  ASSERT_NE(view.mirror, nullptr);
-  // The mirror is a view of the same tree: same size, no second level.
-  EXPECT_EQ(view.mirror->size(), view.size());
-  EXPECT_EQ(view.mirror->mirror, nullptr);
-  EXPECT_GT(view.keyroot_weight, 0);
-  EXPECT_GT(view.mirror->keyroot_weight, 0);
-  // Every spine subtree is a keyroot in the leftmost decomposition (the
-  // tooth precedes the spine child), so the original weight is quadratic
-  // in the teeth while the mirror's is linear: the strategy choice must
-  // see a strictly cheaper mirror here.
-  EXPECT_GT(view.keyroot_weight, view.mirror->keyroot_weight);
+  EXPECT_EQ(view.size(), comb.size());
+  // Every spine subtree is a keyroot (the tooth precedes the spine child),
+  // and they hold 1, 3, ..., 2 * teeth + 1 nodes: the leftmost weight is
+  // quadratic in the teeth.
+  EXPECT_EQ(view.keyroot_weight, KeyrootSubtreeSizeSum(comb));
+  EXPECT_EQ(view.keyroot_weight, int64_t{teeth + 1} * (teeth + 1));
 
-  // Random trees: both orientations decompose the whole tree, so the
-  // keyroot counts match and the weights are at least the tree size.
+  // Random trees: one keyroot per leaf, and the weight, which counts the
+  // root's whole subtree, is at least the tree size.
   Rng rng(kSeed + 1);
   for (int i = 0; i < 30; ++i) {
     const Tree t =
         RandomTree(1 + static_cast<int>(rng.UniformIndex(24)), pool, labels,
                    rng);
     const TedTree v = TedTree::FromTree(t);
-    ASSERT_NE(v.mirror, nullptr);
-    EXPECT_EQ(v.mirror->size(), v.size());
-    EXPECT_EQ(v.keyroots.size(), v.mirror->keyroots.size());
+    EXPECT_EQ(v.keyroot_weight, KeyrootSubtreeSizeSum(t));
     EXPECT_GE(v.keyroot_weight, v.size());
-    EXPECT_GE(v.mirror->keyroot_weight, v.size());
+    EXPECT_EQ(static_cast<int>(v.keyroots.size()), LeafCount(t));
   }
 }
 
-TEST(BoundedTedTest, MirrorStrategyStaysExact) {
-  // Pairs of left combs force the strategy choice onto the mirrors; the
-  // answers must stay exactly the Zhang–Shasha distances.
+TEST(BoundedTedTest, LeftCombsStayExact) {
+  // Pairs of left combs, the quadratic case of the leftmost decomposition,
+  // go through the band; the answers must stay exactly the Zhang–Shasha
+  // distances.
   auto labels = std::make_shared<LabelDictionary>();
   const std::vector<LabelId> pool = MakeLabelPool(labels, 4);
   Rng rng(kSeed + 2);
@@ -181,7 +201,7 @@ TEST(BoundedTedTest, MirrorStrategyStaysExact) {
                   tau < exact ? tau + 1 : exact)
             << "teeth=" << teeth1 << "," << teeth2 << " tau=" << tau;
       }
-      // Comb versus a random tree exercises mixed orientations.
+      // Comb versus a random tree: one side of quadratic weight.
       const Tree r =
           RandomTree(1 + static_cast<int>(rng.UniformIndex(14)), pool,
                      labels, rng);

@@ -232,14 +232,15 @@ TEST_F(ObservabilityE2eTest, JsonDumpMatchesSnapshotAccessors) {
   EXPECT_EQ(ExtractJsonInt(json, "db.size"), snap.gauge("db.size"));
 
   // Histogram payloads carry count and sum under the metric's object.
-  const MetricsSnapshot::HistogramValue* propt =
-      snap.histogram("positional.propt");
-  ASSERT_NE(propt, nullptr);
-  const size_t at = json.find("\"positional.propt\":");
+  const MetricsSnapshot::HistogramValue* gap =
+      snap.histogram("search.knn.bound_gap");
+  ASSERT_NE(gap, nullptr);
+  ASSERT_GT(gap->count, 0);
+  const size_t at = json.find("\"search.knn.bound_gap\":");
   ASSERT_NE(at, std::string::npos);
   const std::string tail = json.substr(at);
-  EXPECT_EQ(ExtractJsonInt(tail, "count"), propt->count);
-  EXPECT_EQ(ExtractJsonInt(tail, "sum"), propt->sum);
+  EXPECT_EQ(ExtractJsonInt(tail, "count"), gap->count);
+  EXPECT_EQ(ExtractJsonInt(tail, "sum"), gap->sum);
 }
 
 TEST_F(ObservabilityE2eTest, QueryStagesAppearInTrace) {

@@ -103,6 +103,16 @@ run_cli_rejects(knn --data=${data} ${query} --filter=bogus)
 run_cli_rejects(join --data=${data} --filter=bogus)
 run_cli_rejects(stats --data=${data} stray)
 run_cli_rejects(range --data=${data} ${query} tau=5)
+# An observability flag that would do nothing is refused as well: a bare or
+# empty --metrics, --metrics-out without --metrics, an empty file or
+# directory name, and --slow-query-ms without --query-log.
+run_cli_rejects(stats --data=${data} --metrics)
+run_cli_rejects(stats --data=${data} --metrics=)
+run_cli_rejects(stats --data=${data} --metrics-out=${TMP}/never.metrics)
+run_cli_rejects(stats --data=${data} --trace=)
+run_cli_rejects(stats --data=${data} --query-log=)
+run_cli_rejects(stats --data=${data} --triage-dir=)
+run_cli_rejects(stats --data=${data} --slow-query-ms=5)
 run_cli("imported 2 records" import --xml=${xml} --out=${TMP}/bare.trees
         --structure-only)
 

@@ -3,7 +3,8 @@
 
 Each ``tools/mutants/*.patch`` is a small, deliberate fault in the library
 (a dropped band sentinel in the banded Zhang–Shasha kernel, a positional
-fallback that matches nothing, ...). The script
+fallback that matches nothing, a range filter that truncates its
+threshold, ...). The script
 
   1. copies the source tree (tracked and untracked, not ignored, files) to a
      temporary directory and configures a Release build there;
@@ -34,15 +35,16 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MUTANTS_DIR = os.path.join(REPO_ROOT, "tools", "mutants")
 JOBS = os.cpu_count() or 1
 
-# The tests that guard the mutated code: the band edge of the banded kernel
-# and the positional bound. Each is a gtest target registered under the
-# same ctest name.
+# The tests that guard the mutated code: the band edge of the banded kernel,
+# the positional bound and the BiBranch range filter's threshold. Each is a
+# gtest target registered under the same ctest name.
 TARGETS = [
     "bounded_ted_test",
     "ted_differential_test",
     "metamorphic_property_test",
     "lower_bound_property_test",
     "positional_test",
+    "weighted_search_test",
 ]
 
 

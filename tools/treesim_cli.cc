@@ -93,7 +93,8 @@ int Usage() {
                "                        instead of stdout\n"
                "  --query-log=FILE      append one JSON line per query\n"
                "                        (range/knn/join) to FILE\n"
-               "  --slow-query-ms=N     only log queries taking >= N ms\n"
+               "  --slow-query-ms=N     with --query-log, only log queries\n"
+               "                        taking >= N ms\n"
                "  --trace=FILE          record per-stage spans and write\n"
                "                        chrome://tracing JSON to FILE\n"
                "  --flight-recorder=N   keep the last N completed query\n"
@@ -566,18 +567,34 @@ const Command* FindCommand(const std::string& name) {
 
 /// Refuses what no command may be given, before any command runs: a bare
 /// token (a flag typed without its dashes would otherwise be ignored), an
-/// unknown --metrics mode (otherwise noticed only after the run) and an
-/// unknown --filter.
+/// unknown --filter, and an observability flag that would do nothing or
+/// notice its fault only after the run: a --metrics mode other than
+/// text|json|prometheus (a bare --metrics included), an empty file or
+/// directory name, --metrics-out without --metrics and --slow-query-ms
+/// without --query-log.
 Status CheckArguments(const std::string& command, const FlagParser& flags) {
   if (!flags.positional().empty()) {
     return Status::InvalidArgument(command + " takes no bare argument '" +
                                    flags.positional().front() + "'");
   }
   const std::string metrics = flags.GetString("metrics", "");
-  if (!metrics.empty() && metrics != "text" && metrics != "json" &&
+  if (flags.Has("metrics") && metrics != "text" && metrics != "json" &&
       metrics != "prometheus") {
     return Status::InvalidArgument("unknown --metrics mode '" + metrics +
                                    "' (want text|json|prometheus)");
+  }
+  for (const char* key : {"metrics-out", "query-log", "trace", "triage-dir"}) {
+    if (flags.Has(key) && flags.GetString(key, "").empty()) {
+      return Status::InvalidArgument(std::string("--") + key +
+                                     " needs a name (--" + key + "=PATH)");
+    }
+  }
+  if (flags.Has("metrics-out") && !flags.Has("metrics")) {
+    return Status::InvalidArgument(
+        "--metrics-out requires --metrics=text|json|prometheus");
+  }
+  if (flags.Has("slow-query-ms") && !flags.Has("query-log")) {
+    return Status::InvalidArgument("--slow-query-ms requires --query-log=FILE");
   }
   if (flags.Has("filter")) return MakeFilter(flags).status();
   return Status::Ok();
@@ -619,22 +636,17 @@ int DumpMetrics(const std::string& mode, const std::string& out_path) {
 }
 
 /// `--query-log=FILE` opens the process-wide structured query log before the
-/// command runs; `--slow-query-ms=N` additionally restricts it to queries at
-/// or above the threshold. Built with -DTREESIM_METRICS=OFF the sink is
-/// compiled out, so asking for a log file is an error rather than silence.
+/// command runs; `--slow-query-ms=N` (refused without it, by CheckArguments)
+/// additionally restricts it to queries at or above the threshold. Built
+/// with -DTREESIM_METRICS=OFF the sink is compiled out, so asking for a log
+/// file is an error rather than silence.
 int OpenQueryLog(const FlagParser& flags) {
   const std::string path = flags.GetString("query-log", "");
+  if (path.empty()) return 0;
   // -1 (absent) logs every query; the bound keeps the microseconds in range.
   const StatusOr<int64_t> slow_ms =
       IntFlag<int64_t>(flags, "slow-query-ms", -1, 0, kInt64Max / 1000);
   if (!slow_ms.ok()) return Fail(slow_ms.status());
-  if (path.empty()) {
-    if (*slow_ms >= 0) {
-      std::fprintf(stderr, "--slow-query-ms requires --query-log=FILE\n");
-      return 2;
-    }
-    return 0;
-  }
   StructuredLog& qlog = StructuredLog::Global();
   if (*slow_ms >= 0) qlog.set_slow_query_micros(*slow_ms * 1000);
   const Status status = qlog.OpenFile(path);
